@@ -4,17 +4,23 @@
 // fixed per-cycle byte bandwidth; a packet serializes for
 // ceil(bytes / bandwidth) interconnect cycles, then travels `latency`
 // cycles, then waits for space in the destination's delivery queue
-// (bounded, providing backpressure). Byte counters distinguish L1D
-// traffic from the background L1I/L1C/L1T traffic so Fig. 13's dilution
-// effect is measurable.
+// (bounded, providing backpressure). A packet blocked on a full queue
+// holds back later packets to the same destination (point-to-point order
+// is preserved); packets to other destinations pass it. Byte counters
+// distinguish L1D traffic from the background L1I/L1C/L1T traffic so
+// Fig. 13's dilution effect is measurable.
+//
+// Host cost: every queue is a RingQueue, so steady-state ticks never
+// allocate, and a tick touches only the ports that hold packets and the
+// packets that are due (see "Host-performance contracts" in DESIGN.md).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/mshr.h"
 #include "sim/config.h"
+#include "sim/ring_queue.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -68,8 +74,13 @@ class Crossbar {
   /// down inside Tick; stacking injections extends the stall.
   void InjectStallFor(std::uint64_t cycles) { fault_stall_cycles_ += cycles; }
 
-  /// True when no packet is anywhere in the network (drain check).
-  bool Idle() const;
+  /// True when no packet is anywhere in the network (drain check). O(1):
+  /// reads the maintained packets_in_network() count.
+  bool Idle() const { return in_network_ == 0; }
+
+  /// Packets injected and not yet popped at their destination. Equals the
+  /// sum of Depths(); robust/ cross-checks the two.
+  std::size_t packets_in_network() const { return in_network_; }
 
   /// Debug introspection: instantaneous queue depths.
   struct QueueDepths {
@@ -92,6 +103,9 @@ class Crossbar {
   void RegisterStats(StatRegistry& reg, const std::string& prefix) const;
 
  private:
+  static constexpr std::size_t kInjectQueueCap = 8;
+  static constexpr std::size_t kDeliveryQueueCap = 16;
+
   struct InFlight {
     IcntPacket pkt;
     Cycle deliver_at = 0;
@@ -99,24 +113,29 @@ class Crossbar {
   };
 
   struct Port {
-    std::deque<IcntPacket> queue;   // awaiting serialization
-    std::uint32_t sent_bytes = 0;   // of the head packet
+    RingQueue<IcntPacket> queue{kInjectQueueCap};  // awaiting serialization
+    std::uint32_t sent_bytes = 0;                  // of the head packet
   };
 
-  void TickPort(Port& port, bool to_core, Cycle now);
+  void Inject(std::size_t port, const IcntPacket& pkt);
+  void TickPort(std::size_t port, Cycle now);
   void Deliver(Cycle now);
 
   IcntConfig cfg_;
-  std::vector<Port> core_ports_;       // injection, core -> mem
-  std::vector<Port> partition_ports_;  // injection, mem -> core
-  std::deque<InFlight> flight_;        // serialized, in transit (FIFO)
-  std::vector<std::deque<IcntPacket>> to_partition_;  // delivery queues
-  std::vector<std::deque<IcntPacket>> to_core_;
+  std::uint32_t num_cores_;
+  // Injection ports: cores (core -> mem) at [0, num_cores_), partitions
+  // (mem -> core) after them. Serialization visits them in this order.
+  std::vector<Port> ports_;
+  // Bit i set <=> ports_[i] holds a packet; Tick visits only those ports.
+  std::vector<std::uint64_t> busy_ports_;
+  // Serialized, in transit; ordered by deliver_at (appended at
+  // now + constant latency), so the due packets are a prefix.
+  RingQueue<InFlight> flight_;
+  std::vector<RingQueue<IcntPacket>> to_partition_;  // delivery queues
+  std::vector<RingQueue<IcntPacket>> to_core_;
+  std::size_t in_network_ = 0;            // injected, not yet popped
   std::uint64_t fault_stall_cycles_ = 0;  // robust/: ticks to swallow
   obs::Counter* m_delivered_ = nullptr;   // icnt.packets_delivered
-
-  static constexpr std::size_t kInjectQueueCap = 8;
-  static constexpr std::size_t kDeliveryQueueCap = 16;
 };
 
 }  // namespace dlpsim

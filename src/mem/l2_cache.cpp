@@ -1,10 +1,40 @@
 #include "mem/l2_cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dlpsim {
 
-L2Cache::L2Cache(const L2Config& cfg) : cfg_(cfg), tags_(cfg.geom) {}
+L2Cache::L2Cache(const L2Config& cfg) : cfg_(cfg), tags_(cfg.geom) {
+  pending_blocks_.reserve(cfg.mshr_entries);
+  pending_waiters_.reserve(cfg.mshr_entries);
+  filled_.reserve(cfg.mshr_max_merged);
+}
+
+std::size_t L2Cache::FindPending(Addr block) const {
+  return static_cast<std::size_t>(
+      std::find(pending_blocks_.begin(), pending_blocks_.end(), block) -
+      pending_blocks_.begin());
+}
+
+void L2Cache::AddWaiter(std::size_t entry, const IcntPacket& waiter) {
+  std::uint32_t node = free_waiter_;
+  if (node == kNoWaiter) {
+    node = static_cast<std::uint32_t>(waiter_pool_.size());
+    waiter_pool_.emplace_back();
+  } else {
+    free_waiter_ = waiter_pool_[node].next;
+  }
+  waiter_pool_[node] = WaiterNode{waiter, kNoWaiter};
+  Waiters& list = pending_waiters_[entry];
+  if (list.count == 0) {
+    list.head = node;
+  } else {
+    waiter_pool_[list.tail].next = node;
+  }
+  list.tail = node;
+  ++list.count;
+}
 
 L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   const std::uint32_t set = tags_.SetOfBlock(block);
@@ -19,9 +49,9 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   }
 
   // In flight already? Merge (bounded by the per-entry merge limit).
-  auto it = pending_.find(block);
-  if (it != pending_.end()) {
-    if (it->second.size() >= cfg_.mshr_max_merged) {
+  const std::size_t entry = FindPending(block);
+  if (entry < pending_blocks_.size()) {
+    if (pending_waiters_[entry].count >= cfg_.mshr_max_merged) {
       ++stats_.reservation_fails;
       return Result::kStall;
     }
@@ -29,11 +59,11 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
     ++stats_.loads;
     ++stats_.load_misses;
     ++stats_.mshr_merges;
-    it->second.push_back(waiter);
+    AddWaiter(entry, waiter);
     return Result::kMissMerged;
   }
 
-  if (pending_.size() >= cfg_.mshr_entries) {
+  if (pending_blocks_.size() >= cfg_.mshr_entries) {
     ++stats_.reservation_fails;
     return Result::kStall;
   }
@@ -42,7 +72,9 @@ L2Cache::Result L2Cache::AccessRead(Addr block, const IcntPacket& waiter) {
   ++stats_.loads;
   ++stats_.load_misses;
   ++stats_.misses_issued;
-  pending_.emplace(block, std::vector<IcntPacket>{waiter});
+  pending_blocks_.push_back(block);
+  pending_waiters_.emplace_back();
+  AddWaiter(pending_blocks_.size() - 1, waiter);
   return Result::kMissIssued;
 }
 
@@ -61,11 +93,24 @@ L2Cache::Result L2Cache::AccessWrite(Addr block) {
   return Result::kMissIssued;
 }
 
-std::vector<IcntPacket> L2Cache::Fill(Addr block) {
-  auto it = pending_.find(block);
-  assert(it != pending_.end() && "L2 fill without a pending fetch");
-  std::vector<IcntPacket> waiters = std::move(it->second);
-  pending_.erase(it);
+const std::vector<IcntPacket>& L2Cache::Fill(Addr block) {
+  const std::size_t entry = FindPending(block);
+  assert(entry < pending_blocks_.size() && "L2 fill without a pending fetch");
+  // Hand out the waiters in arrival order and free their nodes.
+  filled_.clear();
+  for (std::uint32_t node = pending_waiters_[entry].head;
+       node != kNoWaiter;) {
+    WaiterNode& n = waiter_pool_[node];
+    filled_.push_back(n.pkt);
+    const std::uint32_t next = n.next;
+    n.next = free_waiter_;
+    free_waiter_ = node;
+    node = next;
+  }
+  pending_blocks_[entry] = pending_blocks_.back();
+  pending_blocks_.pop_back();
+  pending_waiters_[entry] = pending_waiters_.back();
+  pending_waiters_.pop_back();
   ++stats_.fills;
 
   // Allocate on fill: displace the LRU line (never RESERVED under this
@@ -85,13 +130,13 @@ std::vector<IcntPacket> L2Cache::Fill(Addr block) {
       }
     }
   }
-  return waiters;
+  return filled_;
 }
 
-std::vector<Addr> L2Cache::TakeWritebacks() {
-  std::vector<Addr> out;
-  out.swap(writebacks_);
-  return out;
+const std::vector<Addr>& L2Cache::TakeWritebacks() {
+  taken_.clear();
+  taken_.swap(writebacks_);
+  return taken_;
 }
 
 }  // namespace dlpsim

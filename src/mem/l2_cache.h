@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/stats.h"
@@ -41,23 +40,53 @@ class L2Cache {
   Result AccessWrite(Addr block);
 
   /// DRAM returned `block`: allocate the line (possibly displacing a
-  /// dirty victim -> TakeWritebacks) and collect all merged waiters.
-  std::vector<IcntPacket> Fill(Addr block);
+  /// dirty victim -> TakeWritebacks) and collect all merged waiters, in
+  /// arrival order. The returned buffer is reused: it stays valid until
+  /// the next Fill.
+  const std::vector<IcntPacket>& Fill(Addr block);
 
   /// Dirty lines displaced since the last call (the partition turns them
-  /// into DRAM writes).
-  std::vector<Addr> TakeWritebacks();
+  /// into DRAM writes). The returned buffer is reused: it stays valid
+  /// until the next TakeWritebacks.
+  const std::vector<Addr>& TakeWritebacks();
 
   const CacheStats& stats() const { return stats_; }
-  std::size_t pending_fetches() const { return pending_.size(); }
+  std::size_t pending_fetches() const { return pending_blocks_.size(); }
   const TagArray& tags() const { return tags_; }
   const L2Config& config() const { return cfg_; }
 
  private:
+  /// Index of `block`'s MSHR entry, or pending_blocks_.size() if none.
+  std::size_t FindPending(Addr block) const;
+  /// Appends `waiter` to MSHR entry `entry`'s list.
+  void AddWaiter(std::size_t entry, const IcntPacket& waiter);
+
+  static constexpr std::uint32_t kNoWaiter = ~0u;
+
+  struct Waiters {  // one MSHR entry's list, linked through waiter_pool_
+    std::uint32_t head = kNoWaiter;
+    std::uint32_t tail = kNoWaiter;
+    std::uint32_t count = 0;
+  };
+  struct WaiterNode {
+    IcntPacket pkt;
+    std::uint32_t next = kNoWaiter;
+  };
+
   L2Config cfg_;
   TagArray tags_;
-  std::unordered_map<Addr, std::vector<IcntPacket>> pending_;  // MSHR
+  // MSHR: entry i fetches pending_blocks_[i] for the requests listed in
+  // pending_waiters_[i]. The entries are dense (a fill moves the last one
+  // into the hole) and the block column is scanned linearly. Waiters live
+  // in one node pool with a free list, so a warmed slice allocates
+  // nothing per miss or fill.
+  std::vector<Addr> pending_blocks_;
+  std::vector<Waiters> pending_waiters_;
+  std::vector<WaiterNode> waiter_pool_;
+  std::uint32_t free_waiter_ = kNoWaiter;  // free-list head in the pool
+  std::vector<IcntPacket> filled_;  // Fill's reused result buffer
   std::vector<Addr> writebacks_;
+  std::vector<Addr> taken_;  // TakeWritebacks' reused result buffer
   CacheStats stats_;
 };
 

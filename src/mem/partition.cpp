@@ -16,7 +16,8 @@ MemoryPartition::MemoryPartition(const SimConfig& cfg, PartitionId id)
           "read replies injected back into the interconnect")) {}
 
 void MemoryPartition::ScheduleReply(const IcntPacket& request,
-                                    Cycle ready_at) {
+                                    Cycle ready_at,
+                                    RingQueue<PendingReply>& queue) {
   IcntPacket reply;
   reply.kind = IcntPacket::Kind::kReadReply;
   reply.addr = request.addr;
@@ -26,14 +27,15 @@ void MemoryPartition::ScheduleReply(const IcntPacket& request,
   reply.token = request.token;
   reply.pc = request.pc;
   reply.bytes = cfg_.l2.geom.line_bytes + cfg_.icnt.control_overhead;
-  replies_.push_back(PendingReply{reply, ready_at});
+  assert(queue.empty() || queue.back().ready_at <= ready_at);
+  queue.push_back(PendingReply{reply, ready_at, next_reply_seq_++});
 }
 
 void MemoryPartition::HandleDramCompletions(Cycle now) {
   for (const DramChannel::Completion& done : dram_.Tick(now)) {
     if (done.write) continue;  // fire-and-forget
     for (const IcntPacket& waiter : l2_.Fill(done.block)) {
-      ScheduleReply(waiter, now);
+      ScheduleReply(waiter, now, fill_replies_);
     }
     // Allocate-on-fill can displace a dirty line at fill time.
     for (Addr wb : l2_.TakeWritebacks()) {
@@ -43,16 +45,24 @@ void MemoryPartition::HandleDramCompletions(Cycle now) {
 }
 
 void MemoryPartition::PushReplies(Cycle now, Crossbar& icnt) {
-  auto it = replies_.begin();
-  while (it != replies_.end()) {
-    if (it->ready_at <= now && icnt.CanInjectFromPartition(id_)) {
-      icnt.InjectFromPartition(id_, it->pkt);
-      ++requests_served;
-      m_served_->Add();
-      it = replies_.erase(it);
-    } else {
-      ++it;
-    }
+  // Ready replies leave in scheduling order until the partition port is
+  // full. Each queue's ready replies are a prefix of it, so merging the
+  // two prefixes by sequence number yields exactly that order.
+  while (icnt.CanInjectFromPartition(id_)) {
+    const bool hit_ready =
+        !hit_replies_.empty() && hit_replies_.front().ready_at <= now;
+    const bool fill_ready =
+        !fill_replies_.empty() && fill_replies_.front().ready_at <= now;
+    if (!hit_ready && !fill_ready) break;
+    RingQueue<PendingReply>& queue =
+        hit_ready && (!fill_ready || hit_replies_.front().seq <
+                                         fill_replies_.front().seq)
+            ? hit_replies_
+            : fill_replies_;
+    icnt.InjectFromPartition(id_, queue.front().pkt);
+    ++requests_served;
+    m_served_->Add();
+    queue.pop_front();
   }
 }
 
@@ -62,6 +72,9 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
     --fault_stall_cycles_;
     return;
   }
+  // Nothing queued here and nothing arriving: every step below would be
+  // a no-op (the DRAM channel is idle too).
+  if (Idle() && !icnt.HasForPartition(id_)) return;
   HandleDramCompletions(now);
 
   // One L2 access per memory cycle (single-ported slice). Stalled requests
@@ -83,7 +96,7 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
       case IcntPacket::Kind::kReadRequest: {
         switch (l2_.AccessRead(block, pkt)) {
           case L2Cache::Result::kHit:
-            ScheduleReply(pkt, now + cfg_.l2.latency);
+            ScheduleReply(pkt, now + cfg_.l2.latency, hit_replies_);
             break;
           case L2Cache::Result::kMissIssued:
             dram_backlog_.push_back(
@@ -129,7 +142,7 @@ void MemoryPartition::Tick(Cycle now, Crossbar& icnt) {
 MemoryPartition::QueueDepths MemoryPartition::Depths() const {
   QueueDepths d;
   d.retry = retry_.size();
-  d.replies = replies_.size();
+  d.replies = hit_replies_.size() + fill_replies_.size();
   d.dram_backlog = dram_backlog_.size();
   d.dram_queue = dram_.queue_depth();
   d.dram_in_service = dram_.in_service_depth();
@@ -138,8 +151,8 @@ MemoryPartition::QueueDepths MemoryPartition::Depths() const {
 }
 
 bool MemoryPartition::Idle() const {
-  return replies_.empty() && retry_.empty() && dram_backlog_.empty() &&
-         dram_.Idle();
+  return hit_replies_.empty() && fill_replies_.empty() && retry_.empty() &&
+         dram_backlog_.empty() && dram_.Idle();
 }
 
 }  // namespace dlpsim

@@ -1,16 +1,21 @@
 // A memory partition: L2 slice + DRAM channel + the queues between them.
 // Runs in the memory clock domain; packet exchange with the interconnect
 // happens through the Crossbar's partition-side ports.
+//
+// Host cost: a partition with no queued work and nothing waiting for it
+// in the crossbar returns from Tick at once, and a busy tick touches only
+// the replies that are ready (see "Host-performance contracts" in
+// DESIGN.md).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "icnt/crossbar.h"
 #include "mem/dram.h"
 #include "mem/l2_cache.h"
 #include "sim/config.h"
+#include "sim/ring_queue.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -48,9 +53,11 @@ class MemoryPartition {
   struct PendingReply {
     IcntPacket pkt;
     Cycle ready_at = 0;
+    std::uint64_t seq = 0;  // scheduling order across both reply queues
   };
 
-  void ScheduleReply(const IcntPacket& request, Cycle ready_at);
+  void ScheduleReply(const IcntPacket& request, Cycle ready_at,
+                     RingQueue<PendingReply>& queue);
   void PushReplies(Cycle now, Crossbar& icnt);
   void HandleDramCompletions(Cycle now);
 
@@ -58,9 +65,14 @@ class MemoryPartition {
   PartitionId id_;
   L2Cache l2_;
   DramChannel dram_;
-  std::deque<PendingReply> replies_;     // FIFO of replies awaiting icnt
-  std::deque<IcntPacket> retry_;         // requests stalled by the L2
-  std::deque<DramChannel::Request> dram_backlog_;  // L2 misses / writes
+  // Replies awaiting the interconnect, split by source so each queue has
+  // a constant delay and is ordered by ready_at: L2 hits (ready after
+  // l2.latency) and DRAM fills (ready at once).
+  RingQueue<PendingReply> hit_replies_;
+  RingQueue<PendingReply> fill_replies_;
+  std::uint64_t next_reply_seq_ = 0;
+  RingQueue<IcntPacket> retry_;  // requests stalled by the L2
+  RingQueue<DramChannel::Request> dram_backlog_;  // L2 misses / writes
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow
   obs::Counter* m_served_ = nullptr;               // mem.requests_served
 };

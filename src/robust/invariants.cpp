@@ -166,6 +166,17 @@ std::string CheckL1D(const L1DCache& l1d) {
   return "";
 }
 
+std::string CheckIcntOccupancy(const Crossbar& icnt) {
+  const Crossbar::QueueDepths d = icnt.Depths();
+  const std::size_t walked = d.core_inject + d.partition_inject +
+                             d.in_flight + d.to_partition + d.to_core;
+  if (walked == icnt.packets_in_network()) return "";
+  std::ostringstream os;
+  os << "packets_in_network() is " << icnt.packets_in_network()
+     << " but a walk of every queue finds " << walked << " packets";
+  return os.str();
+}
+
 void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
   next_check_ = now + interval_;
   ++checks_run_;
@@ -179,6 +190,12 @@ void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
         colon == std::string::npos ? violation : violation.substr(colon + 2);
     last_violation_ = "sm" + std::to_string(core.id()) + " " + violation;
     if (throw_) throw InvariantError(check, core.id(), details);
+  }
+  std::string violation = CheckIcntOccupancy(gpu.icnt());
+  if (!violation.empty()) {
+    ++violations_;
+    last_violation_ = "icnt icnt_occupancy: " + violation;
+    if (throw_) throw InvariantError::Icnt("icnt_occupancy", violation);
   }
 }
 

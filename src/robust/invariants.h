@@ -1,11 +1,13 @@
 // Opt-in structural invariant checker for the L1D and its DLP side
-// structures.
+// structures, and for the crossbar's maintained occupancy count.
 //
 // The protection machinery maintains several redundant encodings of the
 // same state (PL fields vs the incremental PlCounters histogram, RESERVED
 // lines vs MSHR entries, saturating PDPT counters vs their bit widths);
 // a bug in any maintenance path corrupts replacement decisions silently.
-// The checker re-derives each encoding by brute force and compares.
+// The checker re-derives each encoding by brute force and compares. The
+// crossbar's O(1) drain check reads a packets-in-network count that is
+// likewise re-derived from a walk of every queue.
 //
 // Enabled either per-process (DLPSIM_CHECK=1) or for a whole build
 // (-DDLPSIM_CHECKED=ON, which the CI Debug job uses); DLPSIM_CHECK=0
@@ -23,6 +25,7 @@
 #include "sim/types.h"
 
 namespace dlpsim {
+class Crossbar;
 class GpuSimulator;
 class L1DCache;
 }  // namespace dlpsim
@@ -32,18 +35,31 @@ namespace dlpsim::robust {
 /// Thrown (by default) on the first violated invariant.
 class InvariantError : public std::runtime_error {
  public:
+  /// Sentinel sm() for violations outside any SM (the crossbar).
+  static constexpr std::uint32_t kNoSm = ~0u;
+
   InvariantError(std::string check, std::uint32_t sm, std::string details)
-      : std::runtime_error("invariant '" + check + "' violated on sm" +
-                           std::to_string(sm) + ": " + details),
-        check_(std::move(check)),
-        sm_(sm),
-        details_(std::move(details)) {}
+      : InvariantError(std::move(check), sm, "sm" + std::to_string(sm),
+                       std::move(details)) {}
+  /// A violation in the interconnect rather than in one SM's L1D.
+  static InvariantError Icnt(std::string check, std::string details) {
+    return InvariantError(std::move(check), kNoSm, "icnt",
+                          std::move(details));
+  }
 
   const std::string& check() const { return check_; }
   std::uint32_t sm() const { return sm_; }
   const std::string& details() const { return details_; }
 
  private:
+  InvariantError(std::string check, std::uint32_t sm,
+                 const std::string& where, std::string details)
+      : std::runtime_error("invariant '" + check + "' violated on " + where +
+                           ": " + details),
+        check_(std::move(check)),
+        sm_(sm),
+        details_(std::move(details)) {}
+
   std::string check_;
   std::uint32_t sm_;
   std::string details_;
@@ -67,6 +83,10 @@ std::string CheckPdpt(const L1DCache& l1d);
 /// (prefixed with the check name).
 std::string CheckL1D(const L1DCache& l1d);
 
+/// The crossbar's maintained packets_in_network() count equals a walk of
+/// every injection, in-flight and delivery queue (Depths()).
+std::string CheckIcntOccupancy(const Crossbar& icnt);
+
 class InvariantChecker {
  public:
   explicit InvariantChecker(Cycle check_interval = 4096,
@@ -75,8 +95,9 @@ class InvariantChecker {
 
   bool Due(Cycle now) const { return now >= next_check_; }
 
-  /// Checks every SM's L1D. Throws InvariantError on the first violation
-  /// (or records it, when constructed with throw_on_violation=false).
+  /// Checks every SM's L1D, then the crossbar occupancy count. Throws
+  /// InvariantError on the first violation (or records it, when
+  /// constructed with throw_on_violation=false).
   void CheckAll(const GpuSimulator& gpu, Cycle now);
 
   std::uint64_t checks_run() const { return checks_run_; }

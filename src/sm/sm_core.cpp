@@ -23,15 +23,14 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
 }
 
 void SmCore::AcceptResponses(Cycle now, Crossbar& icnt) {
-  std::vector<MshrToken> woken;
   while (icnt.HasForCore(id_)) {
     const IcntPacket pkt = icnt.PopForCore(id_);
     assert(pkt.kind == IcntPacket::Kind::kReadReply);
-    woken.clear();
+    woken_.clear();
     l1d_->Fill(L1DResponse{pkt.addr / cfg_.l1d.geom.line_bytes, pkt.no_fill,
                            pkt.token},
-               now, woken);
-    for (MshrToken token : woken) {
+               now, woken_);
+    for (MshrToken token : woken_) {
       Warp& w = warps_[static_cast<std::size_t>(token)];
       w.OnTransactionDone();
       if (w.Quiescent()) {

@@ -68,6 +68,7 @@ class SmCore {
   Coalescer coalescer_;
   std::uint64_t other_traffic_credit_ = 0;  // committed insns since last pkt
   std::uint64_t other_traffic_rr_ = 0;      // destination rotation
+  std::vector<MshrToken> woken_;  // AcceptResponses' reused fill buffer
 };
 
 }  // namespace dlpsim

@@ -4,6 +4,9 @@
 // net that catches policy/geometry interactions unit tests miss.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "gpu/simulator.h"
 #include "workloads/registry.h"
 
@@ -16,6 +19,22 @@ struct SweepParam {
   SchedulerKind sched;
   WritePolicy write;
 };
+
+// gtest lists each instance with a byte dump of its param, padding
+// included, and ctest takes that listing as the test's name. Zero each
+// param's bytes where it is stored so the padding, and hence the name, is
+// the same on every build and run. Brace-initialization leaves the
+// padding unspecified, GCC's value-initialization in emplace_back did not
+// clear it either, and a param passed by value in registers loses it.
+void AddParam(std::vector<SweepParam>& params, PolicyKind policy,
+              std::uint32_t ways, SchedulerKind sched, WritePolicy write) {
+  SweepParam& p = params.emplace_back();
+  std::memset(&p, 0, sizeof p);
+  p.policy = policy;
+  p.ways = ways;
+  p.sched = sched;
+  p.write = write;
+}
 
 std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string name = ToString(info.param.policy);
@@ -80,14 +99,14 @@ INSTANTIATE_TEST_SUITE_P(
            {PolicyKind::kBaseline, PolicyKind::kStallBypass,
             PolicyKind::kGlobalProtection, PolicyKind::kDlp}) {
         for (std::uint32_t ways : {2u, 4u, 8u}) {
-          params.push_back(
-              {policy, ways, SchedulerKind::kGto, WritePolicy::kWriteBackOnHit});
+          AddParam(params, policy, ways, SchedulerKind::kGto,
+                   WritePolicy::kWriteBackOnHit);
         }
         // Scheduler and write-policy variants at baseline geometry.
-        params.push_back(
-            {policy, 4u, SchedulerKind::kLrr, WritePolicy::kWriteBackOnHit});
-        params.push_back(
-            {policy, 4u, SchedulerKind::kGto, WritePolicy::kWriteEvict});
+        AddParam(params, policy, 4u, SchedulerKind::kLrr,
+                 WritePolicy::kWriteBackOnHit);
+        AddParam(params, policy, 4u, SchedulerKind::kGto,
+                 WritePolicy::kWriteEvict);
       }
       return params;
     }()),

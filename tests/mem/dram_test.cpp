@@ -129,11 +129,12 @@ TEST(Dram, BusSerializesBackToBackBursts) {
 
 std::vector<Cycle> CompletionCycles(DramChannel& dram, std::size_t count,
                                     Cycle start = 0, Cycle max_cycles = 10000) {
+  // Exactly one Tick per cycle: a second Tick at the same cycle could
+  // issue a second command and skew the measured latencies.
   std::vector<Cycle> cycles;
   for (Cycle now = start; now < max_cycles && cycles.size() < count; ++now) {
-    for (std::size_t i = 0; i < dram.Tick(now).size(); ++i) {
-      cycles.push_back(now);
-    }
+    const std::vector<DramChannel::Completion>& done = dram.Tick(now);
+    cycles.insert(cycles.end(), done.size(), now);
   }
   return cycles;
 }

@@ -44,6 +44,36 @@ TEST(L2Cache, ConcurrentMissesMerge) {
   EXPECT_EQ(waiters[1].src, 2u);
 }
 
+TEST(L2Cache, InterleavedMergesFillPerBlockInArrivalOrder) {
+  L2Config cfg = SmallL2();
+  cfg.mshr_max_merged = 3;
+  L2Cache l2(cfg);
+  // Waiters of three blocks arrive interleaved; each fill hands back only
+  // its own block's waiters, oldest first, and the others stay pending.
+  EXPECT_EQ(l2.AccessRead(1, Waiter(10)), L2Cache::Result::kMissIssued);
+  EXPECT_EQ(l2.AccessRead(2, Waiter(20)), L2Cache::Result::kMissIssued);
+  EXPECT_EQ(l2.AccessRead(1, Waiter(11)), L2Cache::Result::kMissMerged);
+  EXPECT_EQ(l2.AccessRead(3, Waiter(30)), L2Cache::Result::kMissIssued);
+  EXPECT_EQ(l2.AccessRead(2, Waiter(21)), L2Cache::Result::kMissMerged);
+  EXPECT_EQ(l2.AccessRead(1, Waiter(12)), L2Cache::Result::kMissMerged);
+  EXPECT_EQ(l2.AccessRead(1, Waiter(13)), L2Cache::Result::kStall);
+  EXPECT_EQ(l2.pending_fetches(), 3u);
+
+  auto srcs = [](const std::vector<IcntPacket>& waiters) {
+    std::vector<std::uint32_t> out;
+    for (const IcntPacket& w : waiters) out.push_back(w.src);
+    return out;
+  };
+  EXPECT_EQ(srcs(l2.Fill(1)), (std::vector<std::uint32_t>{10, 11, 12}));
+  EXPECT_EQ(l2.pending_fetches(), 2u);
+  // The freed entry is reused by the next new block.
+  EXPECT_EQ(l2.AccessRead(5, Waiter(50)), L2Cache::Result::kMissIssued);
+  EXPECT_EQ(srcs(l2.Fill(3)), (std::vector<std::uint32_t>{30}));
+  EXPECT_EQ(srcs(l2.Fill(2)), (std::vector<std::uint32_t>{20, 21}));
+  EXPECT_EQ(srcs(l2.Fill(5)), (std::vector<std::uint32_t>{50}));
+  EXPECT_EQ(l2.pending_fetches(), 0u);
+}
+
 TEST(L2Cache, MshrCapacityStalls) {
   L2Cache l2(SmallL2());
   for (Addr b = 0; b < 4; ++b) {

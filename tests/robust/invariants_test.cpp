@@ -175,5 +175,31 @@ TEST(Invariants, EnvKnobControlsChecker) {
   ::unsetenv("DLPSIM_CHECK");
 }
 
+TEST(Invariants, IcntOccupancyCountMatchesQueueWalk) {
+  // Packets in every stage (injection ports, in flight, delivery queues)
+  // and popped again: the O(1) count must equal the walk at every tick.
+  IcntConfig cfg;
+  cfg.latency = 3;
+  Crossbar icnt(cfg, 2, 2);
+  for (Cycle now = 1; now <= 60; ++now) {
+    if (now <= 30) {
+      IcntPacket req;
+      req.dst = static_cast<std::uint32_t>(now % 2);
+      if (icnt.CanInjectFromCore(0)) icnt.InjectFromCore(0, req);
+      IcntPacket reply;
+      reply.kind = IcntPacket::Kind::kReadReply;
+      reply.dst = 1;
+      reply.bytes = 136;
+      if (icnt.CanInjectFromPartition(1)) icnt.InjectFromPartition(1, reply);
+    }
+    icnt.Tick(now);
+    if (now % 4 == 0 && icnt.HasForPartition(0)) icnt.PopForPartition(0);
+    if (now > 40 && icnt.HasForCore(1)) icnt.PopForCore(1);
+    EXPECT_EQ(CheckIcntOccupancy(icnt), "") << "tick " << now;
+  }
+  EXPECT_GT(icnt.packets_in_network(), 0u);
+  EXPECT_FALSE(icnt.Idle());
+}
+
 }  // namespace
 }  // namespace dlpsim::robust
