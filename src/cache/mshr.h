@@ -4,11 +4,17 @@
 // into the entry (up to mshr_max_merged targets) instead of generating new
 // interconnect traffic. A full table or an unmergeable entry is one of the
 // reservation-failure stall reasons in the L1D pipeline.
+//
+// Storage is sized once at construction: live entries are kept dense in
+// [0, size()) and looked up by a scan (the table holds a few dozen
+// entries), and each entry's targets live in a fixed-size slot of one
+// token array. Allocating, merging and retiring never touch the heap.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/types.h"
@@ -21,16 +27,15 @@ using MshrToken = std::uint64_t;
 
 class MshrTable {
  public:
-  MshrTable(std::uint32_t entries, std::uint32_t max_merged)
-      : capacity_(entries), max_merged_(max_merged) {}
+  MshrTable(std::uint32_t entries, std::uint32_t max_merged);
 
-  bool Full() const { return table_.size() >= capacity_; }
-  bool HasEntry(Addr block) const { return table_.count(block) != 0; }
+  bool Full() const { return size_ >= capacity_; }
+  bool HasEntry(Addr block) const { return Find(block) != kNone; }
 
   /// True iff `block` has an entry with room for another merged target.
   bool CanMerge(Addr block) const {
-    auto it = table_.find(block);
-    return it != table_.end() && it->second.size() < max_merged_;
+    const std::uint32_t i = Find(block);
+    return i != kNone && entries_[i].count < max_merged_;
   }
 
   /// True iff a brand-new entry can be allocated.
@@ -42,16 +47,18 @@ class MshrTable {
   /// Merges into the existing entry. Pre: CanMerge(block).
   void Merge(Addr block, MshrToken token);
 
-  /// Retires the entry on fill, returning all merged tokens.
-  std::vector<MshrToken> Retire(Addr block);
+  /// Retires the entry on fill, returning all merged tokens in merge
+  /// order (empty when `block` has no entry). The view stays valid until
+  /// the next Allocate().
+  std::span<const MshrToken> Retire(Addr block);
 
-  std::size_t size() const { return table_.size(); }
+  std::size_t size() const { return size_; }
   std::uint32_t capacity() const { return capacity_; }
 
   /// Number of targets currently merged for `block` (0 if absent).
   std::size_t TargetCount(Addr block) const {
-    auto it = table_.find(block);
-    return it == table_.end() ? 0 : it->second.size();
+    const std::uint32_t i = Find(block);
+    return i == kNone ? 0 : entries_[i].count;
   }
 
   /// All blocks with in-flight entries, in ascending address order. Used
@@ -60,17 +67,38 @@ class MshrTable {
   /// or compares the list stays deterministic.
   std::vector<Addr> Blocks() const {
     std::vector<Addr> out;
-    out.reserve(table_.size());
-    // Hash-order iteration is washed out by the sort below.
-    for (const auto& [block, _] : table_) out.push_back(block);  // NOLINT(dlp-d1)
+    out.reserve(size_);
+    for (std::uint32_t i = 0; i < size_; ++i) out.push_back(entries_[i].block);
     std::sort(out.begin(), out.end());
     return out;
   }
 
  private:
+  static constexpr std::uint32_t kNone = ~0u;
+
+  /// Dense index of `block`'s live entry, or kNone.
+  std::uint32_t Find(Addr block) const {
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      if (entries_[i].block == block) return i;
+    }
+    return kNone;
+  }
+
   std::uint32_t capacity_;
   std::uint32_t max_merged_;
-  std::unordered_map<Addr, std::vector<MshrToken>> table_;
+  std::uint32_t slot_tokens_;  // max(1, max_merged): Allocate always fits
+  std::uint32_t size_ = 0;
+  struct Entry {
+    Addr block = 0;
+    std::uint32_t count = 0;  // merged targets
+    std::uint32_t slot = 0;   // token slot in tokens_
+  };
+  // Live entries in [0, size_); the entries past them hold the free
+  // token slots.
+  std::vector<Entry> entries_;
+  // capacity_ * slot_tokens_, written before it is read: left
+  // uninitialized so that building a cache does not clear it.
+  std::unique_ptr<MshrToken[]> tokens_;
 };
 
 }  // namespace dlpsim

@@ -30,7 +30,8 @@ L1DCache::L1DCache(const L1DConfig& cfg)
     : cfg_(cfg),
       tda_(cfg.geom),
       mshr_(cfg.mshr_entries, cfg.mshr_max_merged),
-      policy_(MakePolicy(cfg)) {
+      policy_(MakePolicy(cfg)),
+      outgoing_(cfg.miss_queue_entries) {
   tda_.SetPlCounters(&pl_counters_);
   policy_->SetPlCounters(&pl_counters_);
   obs::Registry& reg = obs::Registry::Global();
@@ -324,7 +325,7 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
                   .sm = sm_,
                   .kind = TraceEventKind::kFill});
   }
-  std::vector<MshrToken> tokens = mshr_.Retire(response.block);
+  const std::span<const MshrToken> tokens = mshr_.Retire(response.block);
   woken.insert(woken.end(), tokens.begin(), tokens.end());
 }
 
@@ -334,7 +335,7 @@ void L1DCache::Reset() {
   tda_.SetPlCounters(&pl_counters_);
   mshr_ = MshrTable(cfg_.mshr_entries, cfg_.mshr_max_merged);
   policy_->Reset();
-  outgoing_.clear();
+  outgoing_ = RingQueue<L1DOutgoing>(cfg_.miss_queue_entries);
 }
 
 }  // namespace dlpsim

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "core/policies.h"
 #include "obs/trace_event.h"
 #include "sim/config.h"
+#include "sim/ring_queue.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -172,7 +172,7 @@ class L1DCache {
   TagArray tda_;
   MshrTable mshr_;
   std::unique_ptr<ProtectionPolicy> policy_;
-  std::deque<L1DOutgoing> outgoing_;
+  RingQueue<L1DOutgoing> outgoing_;  // sized miss_queue_entries up front
   CacheStats stats_;
   AccessObserver* observer_ = nullptr;
   TraceSink* trace_ = nullptr;

@@ -1,5 +1,7 @@
 #include "gpu/simulator.h"
 
+#include <string>
+
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
@@ -11,16 +13,23 @@ namespace dlpsim {
 
 namespace {
 // Member-init-list validation gate: cfg_ is the first member, so a bad
-// configuration throws ConfigError before any tag array can assert on it.
-const SimConfig& Validated(const SimConfig& cfg) {
+// configuration or warp count throws ConfigError before any tag array or
+// SM can assert on it.
+const SimConfig& Validated(const SimConfig& cfg, std::uint32_t warps_per_sm) {
   cfg.ValidateOrThrow();
+  if (warps_per_sm == 0 || warps_per_sm > cfg.core.max_warps) {
+    throw ConfigError({{"warps_per_sm",
+                        "must be in [1, core.max_warps = " +
+                            std::to_string(cfg.core.max_warps) + "] (got " +
+                            std::to_string(warps_per_sm) + ")"}});
+  }
   return cfg;
 }
 }  // namespace
 
 GpuSimulator::GpuSimulator(const SimConfig& cfg, const Program* program,
                            std::uint32_t warps_per_sm, SchedulerKind sched)
-    : cfg_(Validated(cfg)),
+    : cfg_(Validated(cfg, warps_per_sm)),
       icnt_(cfg.icnt, cfg.num_cores, cfg.num_partitions) {
   cores_.reserve(cfg.num_cores);
   for (SmId id = 0; id < cfg.num_cores; ++id) {
@@ -176,7 +185,7 @@ std::uint64_t GpuSimulator::ProgressCount() const {
 
 bool GpuSimulator::Done() const {
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    // Inactive implies drained; the flag spares the per-warp walk.
+    // Inactive implies drained; the flag spares the Drained() call.
     if (core_inactive_[i] == 0 && !cores_[i].Drained()) return false;
   }
   if (!icnt_.Idle()) return false;

@@ -36,7 +36,8 @@ class GpuSimulator {
  public:
   /// Launches `warps_per_sm` warps of `program` on every core. The program
   /// must outlive the simulator. Throws ConfigError when `cfg` fails
-  /// SimConfig::Validate() -- before any subsystem is built, so a bad
+  /// SimConfig::Validate(), or when `warps_per_sm` is 0 or above
+  /// cfg.core.max_warps -- before any subsystem is built, so a bad
   /// configuration can never reach UB inside the tag arrays.
   GpuSimulator(const SimConfig& cfg, const Program* program,
                std::uint32_t warps_per_sm,
@@ -132,7 +133,7 @@ class GpuSimulator {
   // Sticky per-core "TickCore is a no-op forever" flags (SmCore::
   // Inactive). Once every core is inactive the stepper fast-forwards the
   // core domain -- only icnt/mem still need draining -- and Done() skips
-  // the per-warp drain walks. Results are bit-identical either way.
+  // their drain checks. Results are bit-identical either way.
   std::vector<std::uint8_t> core_inactive_;
   std::uint32_t num_inactive_ = 0;
   ClockDomainSet clocks_;

@@ -177,11 +177,43 @@ std::string CheckIcntOccupancy(const Crossbar& icnt) {
   return os.str();
 }
 
+std::string CheckWarpMasks(const SmCore& core) {
+  const std::vector<Warp>& warps = core.warps();
+  const WarpMask& finished = core.finished_mask();
+  const WarpMask& wait_mem = core.wait_mem_mask();
+  if (finished.size() != warps.size() || wait_mem.size() != warps.size()) {
+    std::ostringstream os;
+    os << "masks cover " << finished.size() << " / " << wait_mem.size()
+       << " warps but the SM has " << warps.size();
+    return os.str();
+  }
+  for (std::uint32_t w = 0; w < warps.size(); ++w) {
+    const Warp& warp = warps[w];
+    // kWaitMem does not depend on the cycle (only kBusy does).
+    const bool waiting = warp.state(0) == Warp::State::kWaitMem;
+    if (finished.Test(w) == warp.Finished() && wait_mem.Test(w) == waiting &&
+        waiting != warp.Quiescent()) {
+      continue;
+    }
+    std::ostringstream os;
+    os << "warp " << w << ": finished bit " << finished.Test(w)
+       << ", Finished() " << warp.Finished() << ", kWaitMem bit "
+       << wait_mem.Test(w) << ", in kWaitMem " << waiting << ", Quiescent() "
+       << warp.Quiescent();
+    return os.str();
+  }
+  return "";
+}
+
 void InvariantChecker::CheckAll(const GpuSimulator& gpu, Cycle now) {
   next_check_ = now + interval_;
   ++checks_run_;
   for (const SmCore& core : gpu.cores()) {
     std::string violation = CheckL1D(core.l1d());
+    if (violation.empty()) {
+      violation = CheckWarpMasks(core);
+      if (!violation.empty()) violation = "warp_masks: " + violation;
+    }
     if (violation.empty()) continue;
     ++violations_;
     const std::size_t colon = violation.find(':');

@@ -1,5 +1,6 @@
 // Opt-in structural invariant checker for the L1D and its DLP side
-// structures, and for the crossbar's maintained occupancy count.
+// structures, the SM's maintained warp masks, and the crossbar's
+// maintained occupancy count.
 //
 // The protection machinery maintains several redundant encodings of the
 // same state (PL fields vs the incremental PlCounters histogram, RESERVED
@@ -7,7 +8,9 @@
 // a bug in any maintenance path corrupts replacement decisions silently.
 // The checker re-derives each encoding by brute force and compares. The
 // crossbar's O(1) drain check reads a packets-in-network count that is
-// likewise re-derived from a walk of every queue.
+// likewise re-derived from a walk of every queue, and the SM's warp
+// picking and drain checks read finished/kWaitMem bitsets that are
+// re-derived from a walk of every warp.
 //
 // Enabled either per-process (DLPSIM_CHECK=1) or for a whole build
 // (-DDLPSIM_CHECKED=ON, which the CI Debug job uses); DLPSIM_CHECK=0
@@ -28,6 +31,7 @@ namespace dlpsim {
 class Crossbar;
 class GpuSimulator;
 class L1DCache;
+class SmCore;
 }  // namespace dlpsim
 
 namespace dlpsim::robust {
@@ -87,6 +91,12 @@ std::string CheckL1D(const L1DCache& l1d);
 /// every injection, in-flight and delivery queue (Depths()).
 std::string CheckIcntOccupancy(const Crossbar& icnt);
 
+/// The SM's maintained warp masks agree with a walk of its warps: the
+/// finished bit is Warp::Finished(), the kWaitMem bit is the warp's
+/// kWaitMem state, and a warp is in kWaitMem exactly when it is not
+/// Warp::Quiescent() (the equivalence SmCore::Drained() relies on).
+std::string CheckWarpMasks(const SmCore& core);
+
 class InvariantChecker {
  public:
   explicit InvariantChecker(Cycle check_interval = 4096,
@@ -95,9 +105,9 @@ class InvariantChecker {
 
   bool Due(Cycle now) const { return now >= next_check_; }
 
-  /// Checks every SM's L1D, then the crossbar occupancy count. Throws
-  /// InvariantError on the first violation (or records it, when
-  /// constructed with throw_on_violation=false).
+  /// Checks every SM's L1D and warp masks, then the crossbar occupancy
+  /// count. Throws InvariantError on the first violation (or records it,
+  /// when constructed with throw_on_violation=false).
   void CheckAll(const GpuSimulator& gpu, Cycle now);
 
   std::uint64_t checks_run() const { return checks_run_; }

@@ -4,17 +4,26 @@
 
 namespace dlpsim {
 
-void LdStUnit::Enqueue(WarpMemOp op) {
+LdStUnit::LdStUnit(const CoreConfig& cfg, L1DCache* l1d)
+    : cfg_(cfg), l1d_(l1d), slots_(cfg.ldst_queue_entries) {}
+
+WarpMemOp& LdStUnit::Tail() {
   assert(CanAccept());
-  assert(!op.lines.empty());
-  ++mem_ops;
-  queue_.push_back(std::move(op));
+  return slots_[Wrap(head_ + size_)];
 }
 
-void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
+void LdStUnit::Enqueue() {
+  WarpMemOp& op = Tail();
+  assert(!op.lines.empty());
+  op.next = 0;
+  ++size_;
+  ++mem_ops;
+}
+
+void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps, WarpMask& wait_mem) {
   for (std::uint32_t slot = 0; slot < cfg_.ldst_width; ++slot) {
-    if (queue_.empty()) return;
-    WarpMemOp& op = queue_.front();
+    if (size_ == 0) return;
+    WarpMemOp& op = slots_[head_];
     Warp& warp = warps[op.warp_index];
 
     const MemAccess access{op.lines[op.next], op.type, op.pc,
@@ -38,8 +47,12 @@ void LdStUnit::Tick(Cycle now, std::vector<Warp>& warps) {
     }
 
     if (++op.next == op.lines.size()) {
-      if (op.type == AccessType::kLoad) warp.OnMemOpDispatched();
-      queue_.pop_front();
+      if (op.type == AccessType::kLoad) {
+        warp.OnMemOpDispatched();
+        if (warp.Quiescent()) wait_mem.Reset(op.warp_index);
+      }
+      head_ = Wrap(head_ + 1);
+      --size_;
     }
   }
 }

@@ -5,16 +5,21 @@
 // reports a reservation failure the head transaction retries next cycle
 // and everything behind it -- every other warp's memory op -- is blocked
 // (paper §2: "all future accesses to the L1D cache will be stalled").
+//
+// The queue is a fixed ring of ldst_queue_entries slots. A memory op is
+// written in place into the tail slot, whose `lines` vector keeps its
+// capacity from op to op, so queueing stops allocating once each slot
+// has held its largest op.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/l1d_cache.h"
 #include "sim/config.h"
 #include "sim/types.h"
 #include "sm/warp.h"
+#include "sm/warp_mask.h"
 
 namespace dlpsim {
 
@@ -28,19 +33,25 @@ struct WarpMemOp {
 
 class LdStUnit {
  public:
-  LdStUnit(const CoreConfig& cfg, L1DCache* l1d) : cfg_(cfg), l1d_(l1d) {}
+  LdStUnit(const CoreConfig& cfg, L1DCache* l1d);
 
-  bool CanAccept() const { return queue_.size() < cfg_.ldst_queue_entries; }
+  bool CanAccept() const { return size_ < slots_.size(); }
 
-  /// Queues a memory op. For loads the warp must already be blocked via
+  /// The free slot the next Enqueue() queues. Fill its fields in place;
+  /// `lines` still holds an earlier op's transactions. Pre: CanAccept().
+  WarpMemOp& Tail();
+
+  /// Queues Tail(). For loads the warp must already be blocked via
   /// Warp::BlockOnMem().
-  void Enqueue(WarpMemOp op);
+  void Enqueue();
 
-  /// Dispatches up to ldst_width transactions from the head op.
-  void Tick(Cycle now, std::vector<Warp>& warps);
+  /// Dispatches up to ldst_width transactions from the head op. A load
+  /// whose last transaction dispatched and whose warp is then quiescent
+  /// clears that warp's bit in `wait_mem`.
+  void Tick(Cycle now, std::vector<Warp>& warps, WarpMask& wait_mem);
 
-  bool Idle() const { return queue_.empty(); }
-  std::size_t queue_depth() const { return queue_.size(); }
+  bool Idle() const { return size_ == 0; }
+  std::size_t queue_depth() const { return size_; }
 
   // --- statistics ---
   std::uint64_t stall_cycles = 0;       // cycles blocked on reservation fail
@@ -48,9 +59,15 @@ class LdStUnit {
   std::uint64_t mem_ops = 0;            // warp-level memory instructions
 
  private:
+  std::size_t Wrap(std::size_t i) const {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+
   CoreConfig cfg_;
   L1DCache* l1d_;
-  std::deque<WarpMemOp> queue_;
+  std::vector<WarpMemOp> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dlpsim

@@ -11,14 +11,18 @@ SmCore::SmCore(const SimConfig& cfg, SmId id, const Program* program,
       program_(program),
       l1d_(std::make_unique<L1DCache>(cfg.l1d)),
       ldst_(cfg.core, l1d_.get()),
-      coalescer_(cfg.core.warp_size, cfg.l1d.geom.line_bytes) {
+      coalescer_(cfg.core.warp_size, cfg.l1d.geom.line_bytes),
+      finished_(warps),
+      wait_mem_(warps) {
   assert(warps > 0 && warps <= cfg.core.max_warps);
   warps_.reserve(warps);
   for (std::uint32_t w = 0; w < warps; ++w) {
     warps_.emplace_back(w, std::uint64_t{id} * warps + w, program);
+    if (warps_.back().Finished()) finished_.Set(w);
   }
+  schedulers_.reserve(cfg.core.num_schedulers);
   for (std::uint32_t s = 0; s < cfg.core.num_schedulers; ++s) {
-    schedulers_.emplace_back(sched, s, cfg.core.num_schedulers);
+    schedulers_.emplace_back(sched, s, cfg.core.num_schedulers, warps);
   }
 }
 
@@ -31,9 +35,11 @@ void SmCore::AcceptResponses(Cycle now, Crossbar& icnt) {
                            pkt.token},
                now, woken_);
     for (MshrToken token : woken_) {
-      Warp& w = warps_[static_cast<std::size_t>(token)];
+      const auto index = static_cast<std::uint32_t>(token);
+      Warp& w = warps_[index];
       w.OnTransactionDone();
       if (w.Quiescent()) {
+        wait_mem_.Reset(index);
         load_block_cycles += now - w.block_start();
         ++load_block_events;
       }
@@ -41,27 +47,28 @@ void SmCore::AcceptResponses(Cycle now, Crossbar& icnt) {
   }
 }
 
-void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
-  const std::uint32_t w = sched.Pick(warps_, now);
-  if (w == kInvalidIndex) return;
+bool SmCore::Issue(WarpScheduler& sched, std::uint32_t w, Cycle now) {
   Warp& warp = warps_[w];
   const Instruction& insn = warp.Current();
 
   if (insn.op == OpClass::kLoad || insn.op == OpClass::kStore) {
     if (!ldst_.CanAccept()) {
       ++mem_blocked_issues;
-      return;  // structural hazard; try again next cycle
+      return false;  // structural hazard; try again next cycle
     }
-    WarpMemOp op;
+    WarpMemOp& op = ldst_.Tail();
     op.warp_index = w;
     op.pc = insn.pc;
     op.type = insn.op == OpClass::kLoad ? AccessType::kLoad
                                         : AccessType::kStore;
-    op.lines = coalescer_.Transactions(*insn.pattern, warp.global_id(),
-                                       warp.iteration());
+    coalescer_.Transactions(*insn.pattern, warp.global_id(), warp.iteration(),
+                            op.lines);
     warp.AdvanceIssue(now);
-    if (op.type == AccessType::kLoad) warp.BlockOnMem(now);
-    ldst_.Enqueue(std::move(op));
+    if (op.type == AccessType::kLoad) {
+      warp.BlockOnMem(now);
+      wait_mem_.Set(w);
+    }
+    ldst_.Enqueue();
     committed_mem_insns += cfg_.core.warp_size;
   } else if (insn.op == OpClass::kSfu) {
     warp.AdvanceIssue(now);
@@ -69,10 +76,12 @@ void SmCore::IssueFrom(WarpScheduler& sched, Cycle now) {
   } else {
     warp.AdvanceIssue(now);  // ALU: fully pipelined
   }
+  if (warp.Finished()) finished_.Set(w);
 
   sched.OnIssued(w);
   ++issued_warp_insns;
   committed_thread_insns += cfg_.core.warp_size;
+  return true;
 }
 
 void SmCore::DrainOutgoing(Crossbar& icnt) {
@@ -116,45 +125,19 @@ void SmCore::InjectBackgroundTraffic(Crossbar& icnt) {
 
 void SmCore::TickCore(Cycle now, Crossbar& icnt) {
   AcceptResponses(now, icnt);
-  ldst_.Tick(now, warps_);
+  ldst_.Tick(now, warps_, wait_mem_);
 
   const std::uint64_t committed_before = committed_thread_insns;
   bool any_issued = false;
   for (WarpScheduler& sched : schedulers_) {
-    const std::uint64_t before = issued_warp_insns;
-    IssueFrom(sched, now);
-    any_issued |= issued_warp_insns != before;
+    const std::uint32_t w = sched.Pick(warps_, finished_, wait_mem_, now);
+    if (w != kInvalidIndex && Issue(sched, w, now)) any_issued = true;
   }
   if (!any_issued && !Finished()) ++issue_idle_cycles;
   other_traffic_credit_ += committed_thread_insns - committed_before;
 
   DrainOutgoing(icnt);
   InjectBackgroundTraffic(icnt);
-}
-
-bool SmCore::Finished() const {
-  for (const Warp& w : warps_) {
-    if (!w.Finished()) return false;
-  }
-  return true;
-}
-
-bool SmCore::Drained() const {
-  if (!Finished() || !ldst_.Idle() || l1d_->HasOutgoing()) return false;
-  for (const Warp& w : warps_) {
-    if (!w.Quiescent()) return false;
-  }
-  return true;
-}
-
-bool SmCore::Inactive() const {
-  if (!Drained()) return false;
-  // A drained core can still owe the interconnect a background packet if
-  // it crossed the credit threshold while the crossbar was congested;
-  // keep ticking it until that credit is spent.
-  return cfg_.other_traffic_per_insns == 0 ||
-         other_traffic_credit_ <
-             std::uint64_t{cfg_.other_traffic_per_insns} * cfg_.core.warp_size;
 }
 
 }  // namespace dlpsim

@@ -7,6 +7,7 @@
 // up-to-48 warps per SM, which is the dominant source on real GPUs.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "sim/types.h"
@@ -51,7 +52,22 @@ class Warp {
 
   /// Consumes one issue slot of the current instruction and advances the
   /// cursor; run-length instructions need `count` calls. Pre: Issueable.
-  void AdvanceIssue(Cycle now);
+  void AdvanceIssue(Cycle now) {
+    assert(Issueable(now) && program_ != nullptr);
+    (void)now;
+    // A BUSY warp whose latency elapsed is logically READY; normalize.
+    state_ = State::kReady;
+
+    ++issued_slots_;
+    const Instruction& insn = program_->body()[body_idx_];
+    if (++intra_count_ < insn.count) return;
+
+    intra_count_ = 0;
+    if (++body_idx_ < program_->body().size()) return;
+
+    body_idx_ = 0;
+    if (++iter_ >= program_->iterations()) finished_ = true;
+  }
 
   // --- memory hazard bookkeeping (driven by the LD/ST unit) ---
   void BlockOnMem(Cycle now) {

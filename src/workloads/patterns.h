@@ -45,10 +45,15 @@ class AccessPattern {
   /// Byte address accessed by `lane` of global warp `warp` at `iter`.
   Addr AddressFor(std::uint64_t warp, std::uint64_t iter,
                   std::uint32_t lane) const {
-    const std::uint32_t group = lane / lanes_per_line_;
-    const Addr line = LineIndex(warp, iter, group);
-    return base_ + line * kLineBytes +
+    return GroupAddress(warp, iter, lane / lanes_per_line_) +
            (lane % lanes_per_line_) * std::uint64_t{kWordBytes};
+  }
+
+  /// Byte address of the first lane of lane group `group`; lane k of the
+  /// group accesses the k-th word after it.
+  Addr GroupAddress(std::uint64_t warp, std::uint64_t iter,
+                    std::uint32_t group) const {
+    return base_ + LineIndex(warp, iter, group) * kLineBytes;
   }
 
   /// Distinct lines touched by one warp instruction.

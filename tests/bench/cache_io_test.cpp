@@ -3,6 +3,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "harness.h"
 
@@ -26,7 +29,11 @@ RunResult SampleResult() {
 class CacheIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "dlpsim_cache_io";
+    // One directory per process: ctest runs these tests in parallel
+    // processes, and a shared directory let one test's TearDown delete
+    // another's files.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("dlpsim_cache_io_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -1,8 +1,15 @@
-// Guards the host-performance contract that steady-state interconnect and
-// memory-partition ticks never touch the heap. This binary replaces the
-// global operator new with a counting one; the count is armed only around
-// Crossbar::Tick and MemoryPartition::Tick.
+// Guards the host-performance contract that steady-state SM,
+// interconnect and memory-partition ticks never touch the heap. This
+// binary replaces the global operator new with a counting one; the count
+// is armed only around SmCore::TickCore, Crossbar::Tick and
+// MemoryPartition::Tick.
 //
+// SM: a memory-heavy kernel runs past its warm-up, then the test keeps
+// clocking the simulator's own cores, crossbar and partitions by hand and
+// counts only inside TickCore, over a window full of coalesced loads and
+// stores, L1D misses, MSHR merges and fills.
+//
+// Interconnect and partitions:
 // A small GpuSimulator runs a memory-heavy kernel to warm every queue up
 // with real traffic. The test then drives the simulator's own crossbar and
 // partitions directly, standing in for the cores with a bounded synthetic
@@ -263,6 +270,83 @@ TEST(ZeroAlloc, CrossbarAndPartitionTicksDoNotAllocate) {
   ASSERT_TRUE(cores.Drained());
   const std::uint64_t idle = cores.Run(20000, {});
   EXPECT_EQ(idle, 0u) << "allocations in idle crossbar/partition ticks";
+}
+
+// Uncoalesced streams (4 lines per warp instruction), a tile every warp
+// shares (MSHR merges) and a scattered store stream.
+std::unique_ptr<Program> SmHeavyKernel() {
+  ProgramBuilder b(64);
+  b.Alu(2)
+      .LoadStream(8)
+      .LoadShared(64, 0)
+      .Alu(1)
+      .StoreStream(16)
+      .LoadIndirect(1 << 14, 0.6, 7, 8);
+  return b.Build();
+}
+
+TEST(ZeroAlloc, SmCoreTicksDoNotAllocate) {
+  const SimConfig cfg = SmallGpu();
+  const auto program = SmHeavyKernel();
+  GpuSimulator gpu(cfg, program.get(), 16);
+  for (int i = 0; i < 30000 && !gpu.Done(); ++i) gpu.Step();
+  ASSERT_FALSE(gpu.Done()) << "warm-up must end mid-kernel";
+
+  // Continue the run by hand past every cycle the simulator has used:
+  // core and interconnect clocks at 650 MHz, 10 memory ticks per 7.
+  Crossbar& icnt = gpu.icnt();
+  Cycle now = gpu.core_cycles() + 1;
+  Cycle mem_now = now * 2;
+  auto run = [&](std::uint64_t cycles) {
+    std::uint64_t allocations = 0;
+    for (std::uint64_t i = 0; i < cycles; ++i, ++now) {
+      for (SmCore& core : gpu.cores()) {
+        if (core.Inactive()) continue;
+        allocations += AllocationsDuring([&] { core.TickCore(now, icnt); });
+      }
+      icnt.Tick(now);
+      const int mem_ticks = (i % 7 < 3) ? 2 : 1;
+      for (int t = 0; t < mem_ticks; ++t, ++mem_now) {
+        for (MemoryPartition& p : gpu.partitions()) p.Tick(mem_now, icnt);
+      }
+    }
+    return allocations;
+  };
+  struct SmTotals {
+    std::uint64_t mem_ops = 0, transactions = 0, loads = 0, stores = 0,
+                  misses = 0, merges = 0, fills = 0, issued = 0;
+  };
+  auto snapshot = [&] {
+    SmTotals t;
+    for (const SmCore& core : gpu.cores()) {
+      const CacheStats& s = core.l1d().stats();
+      t.mem_ops += core.ldst().mem_ops;
+      t.transactions += core.ldst().transactions;
+      t.loads += s.loads;
+      t.stores += s.stores;
+      t.misses += s.misses_issued;
+      t.merges += s.mshr_merges;
+      t.fills += s.fills;
+      t.issued += core.issued_warp_insns;
+    }
+    return t;
+  };
+
+  run(5000);  // uncounted: leaves the hand-clocked start-up behind
+  const SmTotals before = snapshot();
+  const std::uint64_t busy = run(10000);
+  const SmTotals after = snapshot();
+  EXPECT_EQ(busy, 0u) << "allocations in busy SmCore::TickCore calls";
+  // The window really was busy on every SM path.
+  EXPECT_GT(after.mem_ops - before.mem_ops, 1000u);
+  EXPECT_GT(after.transactions - before.transactions, 3000u);
+  EXPECT_GT(after.loads - before.loads, 2000u);
+  EXPECT_GT(after.stores - before.stores, 500u);
+  EXPECT_GT(after.misses - before.misses, 2000u);
+  EXPECT_GT(after.merges - before.merges, 50u);
+  EXPECT_GT(after.fills - before.fills, 2000u);
+  EXPECT_GT(after.issued - before.issued, 2000u);
+  for (const SmCore& core : gpu.cores()) EXPECT_FALSE(core.Drained());
 }
 
 }  // namespace

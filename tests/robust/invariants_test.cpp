@@ -201,5 +201,57 @@ TEST(Invariants, IcntOccupancyCountMatchesQueueWalk) {
   EXPECT_FALSE(icnt.Idle());
 }
 
+TEST(Invariants, WarpMasksMatchWarpWalkAndCatchDrift) {
+  SimConfig cfg;
+  cfg.num_cores = 2;
+  cfg.num_partitions = 2;
+  cfg.core.max_warps = 70;  // two mask words
+  ProgramBuilder b(3);
+  b.Alu(2).LoadStream(8).Sfu(1).StorePrivate(4).LoadPrivate(8);
+  auto prog = b.Build();
+  GpuSimulator gpu(cfg, prog.get(), 70);
+
+  // Healthy at every step, through loads in flight and warps finishing.
+  bool saw_waiting = false, saw_finished = false;
+  std::uint64_t steps = 0;
+  for (; steps < 200000 && !gpu.Done(); ++steps) {
+    gpu.Step();
+    for (const SmCore& core : gpu.cores()) {
+      ASSERT_EQ(CheckWarpMasks(core), "") << "step " << steps;
+      saw_waiting |= !core.wait_mem_mask().None();
+      saw_finished |= core.finished_mask().Test(69);
+    }
+  }
+  ASSERT_TRUE(gpu.Done());
+  EXPECT_TRUE(saw_waiting);
+  EXPECT_TRUE(saw_finished);
+
+  // A warp blocked behind the masks' back is caught, and CheckAll
+  // reports it as a structured per-SM error.
+  Warp& warp = gpu.cores()[1].mutable_warps()[65];
+  warp.BlockOnMem(gpu.core_cycles());
+  const std::string violation = CheckWarpMasks(gpu.cores()[1]);
+  EXPECT_NE(violation.find("warp 65"), std::string::npos) << violation;
+  InvariantChecker checker(/*check_interval=*/1, /*throw_on_violation=*/true);
+  try {
+    checker.CheckAll(gpu, gpu.core_cycles());
+    FAIL() << "stale kWaitMem mask not detected";
+  } catch (const InvariantError& e) {
+    EXPECT_EQ(e.sm(), 1u);
+    EXPECT_EQ(e.check(), "warp_masks");
+  }
+
+  // So is a finished bit without a finished warp.
+  ProgramBuilder b2(3);
+  b2.Alu(1);
+  auto prog2 = b2.Build();
+  GpuSimulator fresh(cfg, prog2.get(), 3);
+  EXPECT_EQ(CheckWarpMasks(fresh.cores()[0]), "");
+  Warp& unstarted = fresh.cores()[0].mutable_warps()[2];
+  unstarted = Warp(2, 2, nullptr);  // finished, unknown to the mask
+  EXPECT_NE(CheckWarpMasks(fresh.cores()[0]).find("finished bit 0"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace dlpsim::robust

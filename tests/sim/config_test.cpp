@@ -150,5 +150,28 @@ TEST(ConfigValidation, GpuSimulatorRejectsBadConfigBeforeConstruction) {
   EXPECT_THROW(GpuSimulator(cfg, prog.get(), 1), ConfigError);
 }
 
+TEST(ConfigValidation, GpuSimulatorRejectsBadWarpCount) {
+  SimConfig cfg;
+  cfg.num_cores = 1;
+  cfg.num_partitions = 1;
+  ProgramBuilder b(1);
+  b.Alu(1);
+  auto prog = b.Build();
+  for (std::uint32_t warps : {0u, cfg.core.max_warps + 1, 1000u}) {
+    try {
+      GpuSimulator gpu(cfg, prog.get(), warps);
+      FAIL() << warps << " warps per SM accepted";
+    } catch (const ConfigError& e) {
+      ASSERT_EQ(e.issues().size(), 1u);
+      EXPECT_EQ(e.issues()[0].field, "warps_per_sm");
+      EXPECT_NE(std::string(e.what()).find(std::to_string(warps)),
+                std::string::npos);
+    }
+  }
+  // Both ends of the valid range construct.
+  EXPECT_NO_THROW(GpuSimulator(cfg, prog.get(), 1));
+  EXPECT_NO_THROW(GpuSimulator(cfg, prog.get(), cfg.core.max_warps));
+}
+
 }  // namespace
 }  // namespace dlpsim

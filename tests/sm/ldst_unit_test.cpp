@@ -24,14 +24,19 @@ class LdStUnitTest : public ::testing::Test {
     for (std::uint32_t i = 0; i < 4; ++i) warps_.emplace_back(i, i, prog_.get());
   }
 
-  WarpMemOp LoadOp(std::uint32_t warp, std::vector<Addr> lines) {
-    WarpMemOp op;
+  // Writes a memory op into the unit's tail slot and queues it.
+  void Enqueue(std::uint32_t warp, AccessType type, std::vector<Addr> lines) {
+    WarpMemOp& op = unit_->Tail();
     op.warp_index = warp;
     op.pc = 0;
-    op.type = AccessType::kLoad;
+    op.type = type;
     op.lines = std::move(lines);
-    return op;
+    unit_->Enqueue();
   }
+  void EnqueueLoad(std::uint32_t warp, std::vector<Addr> lines) {
+    Enqueue(warp, AccessType::kLoad, std::move(lines));
+  }
+  void Tick(Cycle now) { unit_->Tick(now, warps_, wait_mem_); }
 
   void FillAll() {
     std::vector<MshrToken> woken;
@@ -50,15 +55,16 @@ class LdStUnitTest : public ::testing::Test {
   std::unique_ptr<LdStUnit> unit_;
   std::unique_ptr<Program> prog_;
   std::vector<Warp> warps_;
+  WarpMask wait_mem_{4};
 };
 
 TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0, 128}));
-  unit_->Tick(0, warps_);
+  EnqueueLoad(0, {0, 128});
+  Tick(0);
   EXPECT_EQ(unit_->transactions, 1u);
   EXPECT_FALSE(unit_->Idle());  // second line still pending
-  unit_->Tick(1, warps_);
+  Tick(1);
   EXPECT_EQ(unit_->transactions, 2u);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_EQ(warps_[0].outstanding(), 2u);
@@ -66,9 +72,9 @@ TEST_F(LdStUnitTest, DispatchesOneTransactionPerCycle) {
 
 TEST_F(LdStUnitTest, WarpWakesAfterAllTransactionsReturn) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0, 128}));
-  unit_->Tick(0, warps_);
-  unit_->Tick(1, warps_);
+  EnqueueLoad(0, {0, 128});
+  Tick(0);
+  Tick(1);
   EXPECT_FALSE(warps_[0].Issueable(2));
   FillAll();
   EXPECT_TRUE(warps_[0].Issueable(2));
@@ -77,33 +83,29 @@ TEST_F(LdStUnitTest, WarpWakesAfterAllTransactionsReturn) {
 TEST_F(LdStUnitTest, HeadOfLineBlockingOnReservationFail) {
   // Fill set 0 with reserved lines: blocks 0 and 2 (2 sets, linear).
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0 * 128, 2 * 128, 4 * 128}));
-  unit_->Tick(0, warps_);
-  unit_->Tick(1, warps_);
+  EnqueueLoad(0, {0 * 128, 2 * 128, 4 * 128});
+  Tick(0);
+  Tick(1);
   // Third transaction targets the fully reserved set 0 -> stall.
-  unit_->Tick(2, warps_);
+  Tick(2);
   EXPECT_EQ(unit_->stall_cycles, 1u);
   // An op from another warp behind the head cannot proceed either.
   warps_[1].BlockOnMem(3);
-  unit_->Enqueue(LoadOp(1, {1 * 128}));
-  unit_->Tick(3, warps_);
+  EnqueueLoad(1, {1 * 128});
+  Tick(3);
   EXPECT_EQ(unit_->stall_cycles, 2u);
   EXPECT_EQ(unit_->queue_depth(), 2u);
 
   // Resolving the fills unblocks the pipeline.
   FillAll();
-  unit_->Tick(4, warps_);  // head's third transaction now reserves
-  unit_->Tick(5, warps_);  // second op dispatches
+  Tick(4);  // head's third transaction now reserves
+  Tick(5);  // second op dispatches
   EXPECT_TRUE(unit_->Idle());
 }
 
 TEST_F(LdStUnitTest, StoresAreFireAndForget) {
-  WarpMemOp op;
-  op.warp_index = 0;
-  op.type = AccessType::kStore;
-  op.lines = {0};
-  unit_->Enqueue(std::move(op));
-  unit_->Tick(0, warps_);
+  Enqueue(0, AccessType::kStore, {0});
+  Tick(0);
   EXPECT_TRUE(unit_->Idle());
   EXPECT_TRUE(warps_[0].Issueable(1));  // never blocked
   EXPECT_EQ(warps_[0].outstanding(), 0u);
@@ -111,14 +113,14 @@ TEST_F(LdStUnitTest, StoresAreFireAndForget) {
 
 TEST_F(LdStUnitTest, AllHitLoadWakesWithoutOutstanding) {
   warps_[0].BlockOnMem(0);
-  unit_->Enqueue(LoadOp(0, {0}));
-  unit_->Tick(0, warps_);
+  EnqueueLoad(0, {0});
+  Tick(0);
   FillAll();
   EXPECT_TRUE(warps_[0].Issueable(1));
   // Second access to the same line hits; the warp wakes on dispatch.
   warps_[1].BlockOnMem(1);
-  unit_->Enqueue(LoadOp(1, {0}));
-  unit_->Tick(1, warps_);
+  EnqueueLoad(1, {0});
+  Tick(1);
   EXPECT_EQ(warps_[1].outstanding(), 0u);
   EXPECT_TRUE(warps_[1].Issueable(2));
 }
@@ -126,7 +128,7 @@ TEST_F(LdStUnitTest, AllHitLoadWakesWithoutOutstanding) {
 TEST_F(LdStUnitTest, CapacityBound) {
   for (std::uint32_t i = 0; i < cfg_.core.ldst_queue_entries; ++i) {
     ASSERT_TRUE(unit_->CanAccept());
-    unit_->Enqueue(LoadOp(0, {static_cast<Addr>(i) * 128}));
+    EnqueueLoad(0, {static_cast<Addr>(i) * 128});
   }
   EXPECT_FALSE(unit_->CanAccept());
 }
