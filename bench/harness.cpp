@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -26,16 +27,12 @@
 #include "robust/fault.h"
 #include "robust/watchdog.h"
 #include "sim/env.h"
+#include "trace/hash.h"
 #include "workloads/registry.h"
 
 namespace dlpsim::bench {
 
 namespace {
-// Bump when the simulator or the workload calibration changes; stale cache
-// entries are keyed away automatically. v2: entries carry a completion
-// footer so truncated files are never served.
-constexpr const char* kCacheVersion = "v2";
-
 // Written as the last line of every cache entry; a file without it was
 // interrupted mid-write (pre-rename crashes can no longer produce that,
 // but entries from other writers stay verifiable).
@@ -180,10 +177,12 @@ ProfileResult ProfileResult::FromText(const std::string& text, bool* ok) {
 
 namespace {
 
+// The readable part of a cell's cache key; also the in-process memo key
+// (one process has one model digest and one set of presets).
 std::string KeyFor(const std::string& abbr, const std::string& config,
                    double scale) {
   std::ostringstream os;
-  os << kCacheVersion << '_' << abbr << '_' << config << "_s" << scale;
+  os << abbr << '_' << config << "_s" << scale;
   return os.str();
 }
 
@@ -297,14 +296,6 @@ void ExportProfile(const std::string& abbr, const std::string& config,
 
 RunResult SimulateUncached(const std::string& abbr, const std::string& config,
                            double scale) {
-  RunOverrides ov;
-  if (const char* spec = FaultSpec()) ov.fault_spec = spec;
-  ov.watchdog_cycles = env::U64("DLPSIM_WATCHDOG", 0);
-  return SimulateUncached(abbr, config, scale, ov);
-}
-
-RunResult SimulateUncached(const std::string& abbr, const std::string& config,
-                           double scale, const RunOverrides& overrides) {
   const SimConfig cfg = ConfigFor(config);
   Workload wl = MakeWorkload(abbr, scale);
 
@@ -340,17 +331,17 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   // fault plan; DLPSIM_WATCHDOG=<cycles> arms the forward-progress
   // watchdog with that stall threshold.
   std::unique_ptr<robust::FaultInjector> injector;
-  if (!overrides.fault_spec.empty()) {
+  if (const char* spec = FaultSpec()) {
     robust::FaultPlan plan;
     std::string err;
-    if (!robust::FaultPlan::Parse(overrides.fault_spec, &plan, &err)) {
+    if (!robust::FaultPlan::Parse(spec, &plan, &err)) {
       throw std::invalid_argument("DLPSIM_FAULTS: " + err);
     }
     injector = std::make_unique<robust::FaultInjector>(plan);
     gpu.SetFaultInjector(injector.get());
   }
   std::unique_ptr<robust::Watchdog> watchdog;
-  if (const std::uint64_t stall = overrides.watchdog_cycles; stall > 0) {
+  if (const std::uint64_t stall = env::U64("DLPSIM_WATCHDOG", 0); stall > 0) {
     watchdog = std::make_unique<robust::Watchdog>(
         robust::WatchdogConfig{/*check_interval=*/1024,
                                /*stall_cycles=*/stall});
@@ -388,9 +379,14 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
 }
 
 std::filesystem::path CachePathFor(const std::string& abbr,
-                                   const std::string& config, double scale) {
-  return std::filesystem::path(CacheDir()) /
-         (KeyFor(abbr, config, scale) + ".txt");
+                                   const std::string& config, double scale,
+                                   std::string_view model_digest) {
+  std::ostringstream name;
+  name << KeyFor(abbr, config, scale) << '_' << std::hex << std::setw(16)
+       << std::setfill('0')
+       << trace::FnvHash64(CanonicalText(ConfigFor(config))) << '_'
+       << model_digest << ".txt";
+  return std::filesystem::path(CacheDir()) / name.str();
 }
 
 bool LoadCacheFile(const std::filesystem::path& path, RunResult* out) {

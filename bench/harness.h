@@ -3,10 +3,12 @@
 // Every bench needs the same (app x configuration) simulation grid, so
 // runs are memoized twice: in-process (thread-safe, single-flight -- two
 // threads asking for the same cell never simulate it twice) and in an
-// on-disk cache keyed by app, configuration name, scale and a harness
-// version stamp. Cache files are written to a temp name and atomically
-// renamed into place, so a killed or concurrent bench can never leave a
-// partially written entry that parses as a bogus result.
+// on-disk cache keyed by everything that can change a RunResult: the app,
+// the configuration name, the scale, a hash of the configuration's
+// CanonicalText and a digest of the model sources taken at build time
+// (see CachePathFor). Cache files are written to a temp name and
+// atomically renamed into place, so a killed or concurrent bench can
+// never leave a partially written entry that parses as a bogus result.
 //
 // RunGrid() executes a whole (apps x configs) matrix through the
 // src/exec/ parallel executor: each cell is an isolated, deterministic
@@ -23,7 +25,9 @@
 //   DLPSIM_SCALE      - iteration scale factor (default 1.0)
 //   DLPSIM_JOBS       - worker threads for RunGrid (default: hardware
 //                       concurrency; 1 = serial)
-//   DLPSIM_CACHE_DIR  - cache directory (default ./.dlpsim_cache)
+//   DLPSIM_CACHE_DIR  - cache directory (default ./.dlpsim_cache); one
+//                       <app>_<config>_s<scale>_<cfg>_<model>.txt file
+//                       per cell (see CachePathFor)
 //   DLPSIM_NOCACHE    - set to disable the on-disk cache entirely
 //   DLPSIM_TIMING_DIR - where TimingScope writes <bench>_timing.json
 //                       (default ".")
@@ -89,6 +93,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/rd_profiler.h"
@@ -157,31 +162,30 @@ std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
                                double scale, std::size_t jobs);
 
 /// Always simulates (no memo, no disk cache). The determinism tests use
-/// this to compare thread-pool execution against the serial path.
+/// this to compare thread-pool execution against the serial path. A
+/// watchdog trip (DLPSIM_WATCHDOG) throws
+/// robust::RunErrorException(kWatchdogStall, ...).
 RunResult SimulateUncached(const std::string& abbr, const std::string& config,
                            double scale);
 
-/// Per-run resilience overrides for callers that must not mutate the
-/// process environment between runs (the dlpsim_server worker serves
-/// many requests from one process; setenv there would race and leak
-/// state across fault domains). Empty/zero fields mean "off" -- they do
-/// NOT fall back to the DLPSIM_FAULTS / DLPSIM_WATCHDOG env knobs.
-struct RunOverrides {
-  std::string fault_spec;             // robust::FaultPlan spec; "" = none
-  std::uint64_t watchdog_cycles = 0;  // stall threshold; 0 = off
-};
-
-/// SimulateUncached with explicit resilience hooks. A watchdog trip
-/// throws robust::RunErrorException(kWatchdogStall, ...) so process
-/// boundaries can forward the typed kind instead of string-matching.
-RunResult SimulateUncached(const std::string& abbr, const std::string& config,
-                           double scale, const RunOverrides& overrides);
-
 // --- on-disk cache plumbing (exposed for tests and tools) ---
 
-/// Cache file path for one cell (under DLPSIM_CACHE_DIR).
+/// Digest of the model this binary was built from: FNV-1a 64 over the
+/// path and bytes of every file under src/ plus bench/harness.{h,cpp},
+/// as 16 hex digits. bench/CMakeLists.txt regenerates it whenever one of
+/// those files changes.
+std::string_view ModelDigest();
+
+/// Cache file path for one cell under DLPSIM_CACHE_DIR:
+///   <app>_<config>_s<scale>_<cfg>_<model>.txt
+/// <cfg> is the FNV-1a 64 of CanonicalText(ConfigFor(config)) in hex, so
+/// editing a preset misses the cache; <model> is `model_digest`, so a
+/// rebuilt model misses it too. The readable stem keeps entries
+/// greppable by cell.
 std::filesystem::path CachePathFor(const std::string& abbr,
-                                   const std::string& config, double scale);
+                                   const std::string& config, double scale,
+                                   std::string_view model_digest =
+                                       ModelDigest());
 
 /// Loads a cache file; false on missing, truncated or unparsable entries
 /// (a valid entry carries the "#complete" footer the writer appends last).

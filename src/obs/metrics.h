@@ -19,8 +19,7 @@
 //
 // Export formats (all deterministic, sorted by scope then name):
 //   WriteText - Prometheus-style text exposition (# HELP/# TYPE lines,
-//               histogram _bucket{le=...}/_sum/_count series) for the
-//               future dlpsim_server /metrics endpoint.
+//               histogram _bucket{le=...}/_sum/_count series).
 //   WriteJson - one self-describing JSON document.
 //   WriteCsv  - flat scope,name,kind,value rows (histograms one row per
 //               bucket), with RFC-4180 quoting for hostile names.

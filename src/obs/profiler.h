@@ -20,7 +20,7 @@
 //   WriteJson      - per-phase calls/total/self plus per-path self time.
 //   WriteCollapsed - collapsed-stack lines ("a;b;c <self_us>") for
 //                    flamegraph.pl / speedscope.
-//   WriteText      - Prometheus-style exposition for the future server.
+//   WriteText      - Prometheus-style text exposition.
 //   Chrome trace   - obs::WriteProfileChromeTrace (exporters.h) renders
 //                    the bounded span-event buffer on chrome://tracing.
 #pragma once

@@ -1,5 +1,4 @@
-// Typed run-termination causes for GpuSimulator::Run() and the serve/
-// request pipeline.
+// Typed run-termination causes for GpuSimulator::Run().
 //
 // A run normally ends with every warp drained (kNone). The resilience
 // layer adds two abnormal-but-diagnosed endings: the forward-progress
@@ -7,45 +6,17 @@
 // and the hard cycle budget (SimConfig::max_core_cycles) expiring before
 // the machine drained. Both leave the simulator in a consistent,
 // inspectable state instead of spinning or aborting.
-//
-// The experiment server (src/serve/) extends the same enum with its
-// request-level fault domains so every way a request can fail is one
-// typed value that round-trips through the wire protocol:
-//   kRunFailed        - the simulation threw (fault injection, bad
-//                       config, workload error); detail carries what()
-//   kWorkerCrash      - the worker process died abnormally (segfault,
-//                       abort, SIGKILL) and the retry budget ran out
-//   kDeadlineExceeded - the request's wall-clock deadline expired; the
-//                       worker was killed and the request abandoned
-//   kQueueRejected    - admission control refused the request (bounded
-//                       queue full or server draining); retry later
 #pragma once
 
-#include <array>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace dlpsim::robust {
 
 enum class RunError {
-  kNone,              // drained normally / request served
-  kWatchdogStall,     // watchdog: no forward progress for stall_cycles
-  kCycleBudget,       // max_core_cycles reached while !Done()
-  kRunFailed,         // serve: simulation threw inside the worker
-  kWorkerCrash,       // serve: worker process died; retries exhausted
-  kDeadlineExceeded,  // serve: per-request wall-clock deadline expired
-  kQueueRejected,     // serve: admission control rejected the request
-};
-
-/// Every RunError value, for exhaustive iteration in tests and tools.
-/// Keep in sync with the enum; the round-trip test in
-/// tests/serve/error_roundtrip_test.cpp fails if a value is missing.
-inline constexpr std::array<RunError, 7> kAllRunErrors = {
-    RunError::kNone,        RunError::kWatchdogStall,
-    RunError::kCycleBudget, RunError::kRunFailed,
-    RunError::kWorkerCrash, RunError::kDeadlineExceeded,
-    RunError::kQueueRejected,
+  kNone,           // drained normally
+  kWatchdogStall,  // watchdog: no forward progress for stall_cycles
+  kCycleBudget,    // max_core_cycles reached while !Done()
 };
 
 inline const char* ToString(RunError e) {
@@ -56,34 +27,13 @@ inline const char* ToString(RunError e) {
       return "watchdog_stall";
     case RunError::kCycleBudget:
       return "cycle_budget";
-    case RunError::kRunFailed:
-      return "run_failed";
-    case RunError::kWorkerCrash:
-      return "worker_crash";
-    case RunError::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case RunError::kQueueRejected:
-      return "queue_rejected";
   }
   return "?";
 }
 
-/// Inverse of ToString. Returns false (and leaves *out untouched) for
-/// unknown names, so wire-protocol parsers can reject corrupt frames
-/// instead of defaulting to kNone.
-inline bool ParseRunError(std::string_view name, RunError* out) {
-  for (const RunError e : kAllRunErrors) {
-    if (name == ToString(e)) {
-      if (out != nullptr) *out = e;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Exception carrying a typed RunError. The bench harness throws this on
-/// watchdog trips; the serve worker catches it to report the typed kind
-/// over the wire instead of collapsing everything to kRunFailed.
+/// watchdog trips so callers can tell a stalled run from other failures
+/// without matching on the message.
 class RunErrorException : public std::runtime_error {
  public:
   RunErrorException(RunError kind, const std::string& what)

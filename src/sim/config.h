@@ -213,10 +213,10 @@ struct SimConfig {
 /// value" line per field, in a fixed order. Two configs serialize to the
 /// same text iff every simulation-relevant field matches, so hashing this
 /// text gives a content address for "the exact machine that was
-/// simulated" (the serve/ result cache keys on it). Extend this function
-/// whenever SimConfig grows a field; tests/serve/content_cache_test.cpp
-/// pins that edits to representative fields in every sub-struct change
-/// the text.
+/// simulated" (the bench result cache keys on it, see bench/harness.h).
+/// Extend this function whenever SimConfig grows a field;
+/// tests/sim/config_test.cpp pins that edits to representative fields in
+/// every sub-struct change the text.
 std::string CanonicalText(const SimConfig& cfg);
 
 }  // namespace dlpsim

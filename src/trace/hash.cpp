@@ -9,8 +9,6 @@ namespace dlpsim::trace {
 
 namespace {
 
-// Canonical FNV-1a 64 parameters (same family as serve::Fnv1a64).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /// A write-only streambuf that folds every byte into an FNV-1a hash --
@@ -39,7 +37,7 @@ class FnvStreambuf : public std::streambuf {
     hash_ ^= b;
     hash_ *= kFnvPrime;
   }
-  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t hash_ = kFnvOffsetBasis;
 };
 
 std::string Hex16(std::uint64_t v) {

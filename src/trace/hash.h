@@ -3,10 +3,8 @@
 // A trace's content hash is FNV-1a 64 over its *canonical packed bytes*:
 // the DLPT stream produced with empty metadata and the canonical block
 // size (kCanonicalBlockRecords). Text and packed files holding the same
-// record sequence therefore hash identically -- the serve layer keys its
-// content-addressed result cache on this ref, so packing a trace never
-// invalidates cached experiment results, and two clients submitting the
-// same workload in different formats coalesce onto one cache entry.
+// record sequence therefore hash identically, so a trace's ref survives
+// packing and unpacking (trace_pack --stat prints it).
 //
 // Hashing is streaming (the canonical bytes are folded into the hash as
 // they are produced, never materialized), so it is O(block) memory for
@@ -32,11 +30,17 @@ bool TraceContentHash(TraceSource& src, std::uint64_t* hash,
 bool TraceFileHash(const std::string& path, std::uint64_t* hash,
                    TraceParseError* error);
 
-/// Serve-layer trace reference for a trace file: "trace-<16 hex digits>".
-/// Empty string (with *error filled) on failure.
+/// Content reference for a trace file: "trace-<16 hex digits>". Empty
+/// string (with *error filled) on failure.
 std::string TraceFileRef(const std::string& path, TraceParseError* error);
 
-/// FNV-1a 64 over raw bytes (exposed for tests; matches serve::Fnv1a64).
-std::uint64_t FnvHash64(std::string_view data, std::uint64_t seed);
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64 over raw bytes, continuing from `seed` (pass a previous
+/// result to hash a concatenation). The project's one general-purpose
+/// hash: trace refs and the bench result-cache key both use it.
+std::uint64_t FnvHash64(std::string_view data,
+                        std::uint64_t seed = kFnvOffsetBasis);
 
 }  // namespace dlpsim::trace

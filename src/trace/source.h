@@ -4,7 +4,7 @@
 // This is the McSimA+-style front/back split for dlpsim: producers
 // (workload generators, the GpuSimulator recorder, real-GPU traces)
 // write a trace once; every timing consumer (TraceReplayer, the verify
-// fuzzer's replay path, the serve layer) pulls from a TraceSource and is
+// fuzzer's replay path, trace_pack) pulls from a TraceSource and is
 // agnostic to whether the bytes are the text grammar or the DLPT packed
 // binary format. `OpenTraceFile` sniffs the 4-byte magic and picks the
 // right implementation, so tools accept either format everywhere.

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "gpu/simulator.h"
+#include "robust/error.h"
 #include "robust/fault.h"
 #include "workloads/registry.h"
 
@@ -116,6 +118,14 @@ TEST(Watchdog, RunErrorToStringIsStable) {
   EXPECT_STREQ(ToString(RunError::kNone), "none");
   EXPECT_STREQ(ToString(RunError::kWatchdogStall), "watchdog_stall");
   EXPECT_STREQ(ToString(RunError::kCycleBudget), "cycle_budget");
+}
+
+TEST(RunErrorRoundTrip, ExceptionCarriesKindAndMessage) {
+  const RunErrorException e(RunError::kWatchdogStall, "no progress");
+  EXPECT_EQ(e.kind(), RunError::kWatchdogStall);
+  EXPECT_STREQ(e.what(), "no progress");
+  // It is a runtime_error, so generic catch sites keep working.
+  EXPECT_NE(dynamic_cast<const std::runtime_error*>(&e), nullptr);
 }
 
 }  // namespace

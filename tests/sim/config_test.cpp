@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gpu/simulator.h"
 #include "workloads/registry.h"
 
@@ -171,6 +173,32 @@ TEST(ConfigValidation, GpuSimulatorRejectsBadWarpCount) {
   // Both ends of the valid range construct.
   EXPECT_NO_THROW(GpuSimulator(cfg, prog.get(), 1));
   EXPECT_NO_THROW(GpuSimulator(cfg, prog.get(), cfg.core.max_warps));
+}
+
+// CanonicalText must react to edits in every layer of SimConfig --
+// otherwise two genuinely different configurations could share a bench
+// result-cache entry. One representative field per sub-struct.
+TEST(CanonicalTextTest, CoversEveryConfigLayer) {
+  const SimConfig base;
+  const std::string t0 = CanonicalText(base);
+  EXPECT_EQ(t0.rfind("config_format v1\n", 0), 0u);
+  EXPECT_EQ(t0, CanonicalText(base));  // pure function
+
+  auto differs = [&](auto mutate, const char* what) {
+    SimConfig c;
+    mutate(c);
+    EXPECT_NE(CanonicalText(c), t0) << "CanonicalText blind to " << what;
+  };
+  differs([](SimConfig& c) { c.num_cores += 1; }, "num_cores");
+  differs([](SimConfig& c) { c.core.max_warps += 1; }, "core.*");
+  differs([](SimConfig& c) { c.l1d.geom.ways *= 2; }, "l1d.geom.*");
+  differs([](SimConfig& c) { c.l1d.mshr_entries += 1; }, "l1d mshr");
+  differs([](SimConfig& c) { c.l1d.prot.pdpt_entries += 1; }, "l1d.prot.*");
+  differs([](SimConfig& c) { c.l2.latency += 1; }, "l2.*");
+  differs([](SimConfig& c) { c.dram.banks *= 2; }, "dram.*");
+  differs([](SimConfig& c) { c.icnt.latency += 1; }, "icnt.*");
+  differs([](SimConfig& c) { c.mem_mhz += 1; }, "clocks");
+  differs([](SimConfig& c) { c.max_core_cycles += 1; }, "max_core_cycles");
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(Fixtures, TextTwinHoldsTheSameRecords) {
     }
     EXPECT_EQ(packed_records, text_records) << stem;
 
-    // Same content ref, so the serve cache coalesces the two forms.
+    // Same content ref: packing does not change a trace's identity.
     EXPECT_EQ(TraceFileRef(FixturePath(stem, ".dlpt"), &err),
               TraceFileRef(FixturePath(stem, ".trace"), &err))
         << stem;

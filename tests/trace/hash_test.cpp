@@ -1,7 +1,6 @@
 // Content-hash tests: the trace ref is format independent (text and
-// packed files of one record sequence share a ref), which is what lets
-// the serve layer's content-addressed result cache coalesce the two
-// forms onto one entry.
+// packed files of one record sequence share a ref), sensitive to every
+// record field, and built on the reference FNV-1a 64.
 #include "trace/hash.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/content_cache.h"
 #include "sim/rng.h"
 #include "trace/record.h"
 #include "trace/source.h"
@@ -76,6 +74,15 @@ TEST(Hash, FormatIndependentFileRef) {
   EXPECT_EQ(text_ref, packed_ref);
   EXPECT_EQ(text_ref.rfind("trace-", 0), 0u);
   EXPECT_EQ(text_ref.size(), 6u + 16u);  // "trace-" + 16 hex digits
+
+  // A different record sequence gets a different ref.
+  {
+    std::ofstream os(tmp.Path("b.trace"), std::ios::binary);
+    WriteTextTrace(os, SomeTrace(2));
+  }
+  const std::string other_ref = TraceFileRef(tmp.Path("b.trace"), &err);
+  ASSERT_FALSE(other_ref.empty()) << err.ToString();
+  EXPECT_NE(other_ref, text_ref);
 }
 
 TEST(Hash, DifferentTracesDifferentRefs) {
@@ -129,12 +136,13 @@ TEST(Hash, EmptyTraceHashesAndIsStable) {
   EXPECT_EQ(ha, hb);
 }
 
-TEST(Hash, FnvMatchesServeFnv1a64) {
-  // Same hash family as the serve layer's key hasher, same constants.
-  const std::string samples[] = {"", "a", "trace", "dlpsim content key"};
-  for (const std::string& s : samples) {
-    EXPECT_EQ(FnvHash64(s, 0xcbf29ce484222325ull), serve::Fnv1a64(s)) << s;
-  }
+TEST(Fnv1a64Test, MatchesReferenceVectors) {
+  // Published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(FnvHash64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(FnvHash64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(FnvHash64("foobar"), 0x85944171f73967e8ull);
+  // Chaining through the seed hashes the concatenation.
+  EXPECT_EQ(FnvHash64("bar", FnvHash64("foo")), FnvHash64("foobar"));
 }
 
 TEST(Hash, UnreadableFileIsTypedError) {
@@ -143,34 +151,6 @@ TEST(Hash, UnreadableFileIsTypedError) {
   EXPECT_FALSE(TraceFileHash("/nonexistent/nope.dlpt", &h, &err));
   EXPECT_EQ(err.kind, TraceErrorKind::kIo);
   EXPECT_EQ(TraceFileRef("/nonexistent/nope.dlpt", &err), "");
-}
-
-TEST(Hash, ServeContentKeysCoalesceAcrossFormats) {
-  TempDir tmp;
-  const std::vector<TraceAccess> records = SomeTrace(4);
-  {
-    std::ofstream os(tmp.Path("w.trace"), std::ios::binary);
-    WriteTextTrace(os, records);
-  }
-  {
-    std::ofstream os(tmp.Path("w.dlpt"), std::ios::binary);
-    ASSERT_TRUE(WritePackedTrace(os, records));
-  }
-  TraceParseError err;
-  const std::string config_text = "policy dlp\nsets 32\n";
-  const std::string key_text = serve::ContentKey(
-      config_text, TraceFileRef(tmp.Path("w.trace"), &err));
-  const std::string key_packed = serve::ContentKey(
-      config_text, TraceFileRef(tmp.Path("w.dlpt"), &err));
-  EXPECT_EQ(key_text, key_packed);
-  // A different trace still keys differently.
-  {
-    std::ofstream os(tmp.Path("x.trace"), std::ios::binary);
-    WriteTextTrace(os, SomeTrace(5));
-  }
-  EXPECT_NE(serve::ContentKey(config_text,
-                              TraceFileRef(tmp.Path("x.trace"), &err)),
-            key_text);
 }
 
 }  // namespace

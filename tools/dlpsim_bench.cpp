@@ -183,8 +183,8 @@ std::vector<CellResult> RunGridOnce(const Options& opt,
 /// Packed-ingest throughput phase: records the first grid cell's access
 /// stream once, serializes it to the packed and text forms in memory,
 /// then times draining each form through its TraceSource (best of
-/// --repeat). This measures the trace frontend the replayer and the
-/// serve layer sit on, with no disk in the loop.
+/// --repeat). This measures the trace frontend the replayer sits on,
+/// with no disk in the loop.
 struct IngestResult {
   std::uint64_t records = 0;
   std::uint64_t packed_bytes = 0;
