@@ -52,12 +52,16 @@ const char* FaultSpec() {
 
 bool FaultsEnabled() { return FaultSpec() != nullptr; }
 
-// Tracing implies no result cache: a cache hit would skip the simulation
-// and produce no trace. Fault injection also disables it both ways --
-// faulty results must never poison the shared cache, and a clean cached
-// result must never stand in for the faulty run under test.
+bool MetricsDumpEnabled() { return env::Flag("DLPSIM_METRICS"); }
+
+// Tracing and the metrics dump imply no result cache: a cache hit would
+// skip the simulation and produce no trace and no counters. Fault
+// injection also disables it both ways -- faulty results must never
+// poison the shared cache, and a clean cached result must never stand in
+// for the faulty run under test.
 bool CacheEnabled() {
-  return !env::IsSet("DLPSIM_NOCACHE") && !TraceEnabled() && !FaultsEnabled();
+  return !env::IsSet("DLPSIM_NOCACHE") && !TraceEnabled() &&
+         !FaultsEnabled() && !MetricsDumpEnabled();
 }
 
 std::string TraceOutDir() {
@@ -90,7 +94,18 @@ std::uint64_t ProgressInterval() {
 
 bool ProfileEnabled() { return env::Flag("DLPSIM_PROFILE"); }
 
-bool MetricsDumpEnabled() { return env::Flag("DLPSIM_METRICS"); }
+// Sum of the counter tables of every cell this process simulated; cells
+// finish concurrently under RunGrid, so merges take the lock. Integer
+// sums commute, so the total does not depend on the finishing order.
+struct MetricsTotals {
+  std::mutex mu;
+  obs::Registry table;
+};
+
+MetricsTotals& GlobalMetrics() {
+  static MetricsTotals totals;
+  return totals;
+}
 }  // namespace
 
 double Scale() { return env::PositiveDouble("DLPSIM_SCALE", 1.0); }
@@ -368,6 +383,12 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   result.profile.reuse_accesses = profiler.reuse_accesses();
   result.profile.reuse_misses = profiler.reuse_misses();
   result.profile.compulsory = profiler.compulsory_accesses();
+  {
+    const obs::Registry counters = gpu.CounterTable();
+    MetricsTotals& totals = GlobalMetrics();
+    std::lock_guard<std::mutex> lock(totals.mu);
+    totals.table.Merge(counters);
+  }
 
   if (tracing) {
     ExportTrace(abbr, config, scale, cfg, result.metrics, timeline, sink);
@@ -467,15 +488,18 @@ TimingScope::~TimingScope() {
   const std::size_t jobs = TraceEnabled() ? 1 : exec::DefaultJobs();
   Timing().WriteJson(os, name_, jobs, Scale());
 
-  // DLPSIM_METRICS: dump the global registry next to the timing report.
-  // The registry holds only merge-order-independent integers, so this
-  // dump is byte-identical at any DLPSIM_JOBS.
+  // DLPSIM_METRICS: dump the summed counter tables of every simulated
+  // cell next to the timing report. The metrics dump implies no result
+  // cache, so every cell simulated and counted; the sums are integers,
+  // so the dump is byte-identical at any DLPSIM_JOBS.
   if (MetricsDumpEnabled()) {
+    MetricsTotals& totals = GlobalMetrics();
+    std::lock_guard<std::mutex> lock(totals.mu);
     const fs::path prom = dir / (name_ + "_metrics.prom");
     {
       std::ofstream mos(prom);
       if (mos) {
-        obs::Registry::Global().WriteText(mos);
+        totals.table.WriteText(mos);
       } else {
         std::cerr << "[metrics] cannot write " << prom << '\n';
       }
@@ -483,7 +507,7 @@ TimingScope::~TimingScope() {
     const fs::path json = dir / (name_ + "_metrics.json");
     std::ofstream mos(json);
     if (mos) {
-      obs::Registry::Global().WriteJson(mos);
+      totals.table.WriteJson(mos);
     } else {
       std::cerr << "[metrics] cannot write " << json << '\n';
     }

@@ -65,14 +65,18 @@
 //                       RunGrid cells (cooperative: an over-budget
 //                       attempt is discarded and counted as a timed-out
 //                       failure). Unset/0 = no timeout.
-//   DLPSIM_METRICS    - set to 1 to dump the global obs::Registry on
-//                       TimingScope destruction: <bench>_metrics.prom
+//   DLPSIM_METRICS    - set to 1 to dump, on TimingScope destruction,
+//                       the sum of the counter tables
+//                       (GpuSimulator::CounterTable) of every cell this
+//                       process simulated: <bench>_metrics.prom
 //                       (Prometheus text exposition) and
 //                       <bench>_metrics.json into DLPSIM_TIMING_DIR.
-//                       Counters are integer-only and merge-order
-//                       independent, so the dump is byte-identical at
-//                       any DLPSIM_JOBS (enforced by
-//                       tests/obs/metrics_determinism_test.cpp).
+//                       Implies DLPSIM_NOCACHE, so every cell simulates
+//                       and counts whatever the cache holds. Counters
+//                       are integers and their sums commute, so the dump
+//                       is byte-identical at any DLPSIM_JOBS and on a
+//                       cold or warm cache directory (enforced by
+//                       tests/bench/metrics_determinism_test.cpp).
 //   DLPSIM_PROGRESS   - heartbeat while a cell simulates: "1" emits a
 //                       [progress] line to stderr every 1M core cycles
 //                       (cycle, accesses/sec, warps finished, ETA); a
@@ -86,7 +90,7 @@
 //                       call counts and self/total wall time, a
 //                       flamegraph collapsed-stack file, and a Chrome
 //                       trace of the retained spans. Wall-clock times
-//                       never enter the deterministic metrics registry.
+//                       never enter the deterministic metrics dump.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "sim/stats.h"
+#include <span>
 
 namespace dlpsim {
 
@@ -33,23 +31,35 @@ struct CacheStats {
     const std::uint64_t total = load_hits + load_misses;
     return total == 0 ? 0.0 : static_cast<double>(load_hits) / total;
   }
-
-  void RegisterAll(StatRegistry& reg, const std::string& prefix) const {
-    reg.Register(prefix + ".accesses", &accesses);
-    reg.Register(prefix + ".loads", &loads);
-    reg.Register(prefix + ".stores", &stores);
-    reg.Register(prefix + ".load_hits", &load_hits);
-    reg.Register(prefix + ".load_misses", &load_misses);
-    reg.Register(prefix + ".store_hits", &store_hits);
-    reg.Register(prefix + ".mshr_merges", &mshr_merges);
-    reg.Register(prefix + ".misses_issued", &misses_issued);
-    reg.Register(prefix + ".bypasses", &bypasses);
-    reg.Register(prefix + ".reservation_fails", &reservation_fails);
-    reg.Register(prefix + ".evictions", &evictions);
-    reg.Register(prefix + ".writebacks", &writebacks);
-    reg.Register(prefix + ".fills", &fills);
-    reg.Register(prefix + ".store_invalidates", &store_invalidates);
-  }
 };
+
+/// Name + member-pointer pair for one CacheStats counter.
+struct CacheStatsField {
+  const char* name;
+  std::uint64_t CacheStats::* member;
+};
+
+/// Every CacheStats counter, in declaration order. Code that walks the
+/// counters generically (e.g. verify::DiffStats) reads this table, so a
+/// new counter is added in one place.
+inline std::span<const CacheStatsField> CacheStatsFields() {
+  static constexpr CacheStatsField kFields[] = {
+      {"accesses", &CacheStats::accesses},
+      {"loads", &CacheStats::loads},
+      {"stores", &CacheStats::stores},
+      {"load_hits", &CacheStats::load_hits},
+      {"load_misses", &CacheStats::load_misses},
+      {"store_hits", &CacheStats::store_hits},
+      {"mshr_merges", &CacheStats::mshr_merges},
+      {"misses_issued", &CacheStats::misses_issued},
+      {"bypasses", &CacheStats::bypasses},
+      {"reservation_fails", &CacheStats::reservation_fails},
+      {"evictions", &CacheStats::evictions},
+      {"writebacks", &CacheStats::writebacks},
+      {"fills", &CacheStats::fills},
+      {"store_invalidates", &CacheStats::store_invalidates},
+  };
+  return kFields;
+}
 
 }  // namespace dlpsim

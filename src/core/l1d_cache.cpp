@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
@@ -34,20 +33,10 @@ L1DCache::L1DCache(const L1DConfig& cfg)
       outgoing_(cfg.miss_queue_entries) {
   tda_.SetPlCounters(&pl_counters_);
   policy_->SetPlCounters(&pl_counters_);
-  obs::Registry& reg = obs::Registry::Global();
-  m_accesses_ = reg.GetCounter(
-      "cache", "accesses", "L1D accesses committed (hit, miss or bypass)");
-  m_fills_ = reg.GetCounter("cache", "fills",
-                            "L1D lines filled by returning responses");
-  static constexpr std::uint64_t kMshrBounds[] = {0, 1, 2, 4, 8, 16, 32};
-  m_mshr_occupancy_ = reg.GetHistogram(
-      "cache", "mshr_occupancy", kMshrBounds,
-      "MSHR entries in use after each miss allocation");
 }
 
 void L1DCache::CommitQuery(std::uint32_t set, Cycle now) {
   ++stats_.accesses;
-  m_accesses_->Add();
   obs::ProfileSpan span(profiler_, obs::Phase::kPolicyUpdate);
   policy_->OnSetQuery(tda_.SetView(set));
   policy_->OnAccessSampled(now);
@@ -221,7 +210,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
       EvictFor(set, choice.way, block, access.pc);
       policy_->OnReserve(tda_.At(set, choice.way), access.pc);
       mshr_.Allocate(block, access.token);
-      m_mshr_occupancy_->Observe(mshr_.size());
+      mshr_occupancy_.Observe(mshr_.size());
       PushOutgoing(L1DOutgoing{.block = block,
                                .write = false,
                                .no_fill = false,
@@ -317,7 +306,6 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
   assert(filled && "fill for a block that is not reserved");
   (void)filled;
   ++stats_.fills;
-  m_fills_->Add();
   if (trace_ != nullptr) {
     trace_->SetNow(now);
     trace_->Emit({.block = response.block,

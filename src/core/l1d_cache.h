@@ -21,6 +21,7 @@
 #include "cache/stats.h"
 #include "cache/tag_array.h"
 #include "core/policies.h"
+#include "obs/metrics.h"
 #include "obs/trace_event.h"
 #include "sim/config.h"
 #include "sim/ring_queue.h"
@@ -31,8 +32,6 @@ namespace dlpsim {
 class TraceSink;
 
 namespace obs {
-class Counter;
-class Histogram;
 class Profiler;
 }  // namespace obs
 
@@ -74,6 +73,10 @@ struct L1DResponse {
 
 class L1DCache {
  public:
+  /// Bucket bounds of mshr_occupancy().
+  static constexpr std::uint64_t kMshrOccupancyBounds[] = {0, 1,  2, 4,
+                                                           8, 16, 32};
+
   explicit L1DCache(const L1DConfig& cfg);
 
   /// Processes one transaction. On kReservationFail the caller must retry
@@ -94,6 +97,9 @@ class L1DCache {
 
   // --- introspection ---
   const CacheStats& stats() const { return stats_; }
+  /// MSHR entries in use after each miss allocation. Like stats(), it
+  /// counts over the cache's lifetime; Reset() leaves it alone.
+  const obs::Histogram& mshr_occupancy() const { return mshr_occupancy_; }
   const TagArray& tda() const { return tda_; }
   const MshrTable& mshr() const { return mshr_; }
   const ProtectionPolicy& policy() const { return *policy_; }
@@ -174,13 +180,10 @@ class L1DCache {
   std::unique_ptr<ProtectionPolicy> policy_;
   RingQueue<L1DOutgoing> outgoing_;  // sized miss_queue_entries up front
   CacheStats stats_;
+  obs::Histogram mshr_occupancy_{kMshrOccupancyBounds};
   AccessObserver* observer_ = nullptr;
   TraceSink* trace_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  // Registry instruments (cached stable pointers; see obs/metrics.h).
-  obs::Counter* m_accesses_ = nullptr;        // cache.accesses
-  obs::Counter* m_fills_ = nullptr;           // cache.fills
-  obs::Histogram* m_mshr_occupancy_ = nullptr;  // cache.mshr_occupancy
   std::uint16_t sm_ = 0;
   Cycle fault_blackout_until_ = 0;  // robust/: accesses fail before this
 };

@@ -21,10 +21,28 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace dlpsim {
+
+/// Saturating hit counter (the PDPT's hardware counters saturate; paper
+/// §4.3 gives their widths).
+class SaturatingCounter {
+ public:
+  explicit SaturatingCounter(std::uint32_t bits = 8)
+      : max_((bits >= 32) ? 0xffffffffu : ((1u << bits) - 1u)) {}
+
+  void Increment() {
+    if (value_ < max_) ++value_;
+  }
+  void Reset() { value_ = 0; }
+  std::uint32_t value() const { return value_; }
+  std::uint32_t max() const { return max_; }
+
+ private:
+  std::uint32_t max_;
+  std::uint32_t value_ = 0;
+};
 
 class PdpTable {
  public:

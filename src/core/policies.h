@@ -30,9 +30,14 @@ namespace dlpsim {
 
 class TraceSink;
 
-namespace obs {
-class Counter;
-}  // namespace obs
+/// Protection-mechanism event counts of one DLP/GP policy. Pure
+/// telemetry, never read back into decisions. Like CacheStats they count
+/// over the owning cache's lifetime: Reset() between kernels keeps them.
+struct ProtectionStats {
+  std::uint64_t pl_decrements = 0;  // PL decay steps applied by set queries
+  std::uint64_t pd_recomputes = 0;  // end-of-window PD recomputations
+  std::uint64_t vta_hits = 0;       // VTA hits credited on load misses
+};
 
 /// Outcome of asking a policy where a missing line may be placed.
 struct VictimChoice {
@@ -113,6 +118,7 @@ class ProtectionPolicy {
   virtual const PdpTable* pdpt() const { return nullptr; }
   virtual const VictimTagArray* vta() const { return nullptr; }
   virtual std::uint32_t PdForPc(Pc) const { return 0; }
+  virtual const ProtectionStats* protection_stats() const { return nullptr; }
 
   // Mutable table access for the fault injector (robust/) only; the
   // normal simulation path never mutates policy tables from outside.
@@ -170,6 +176,7 @@ class ProtectedLifePolicy : public ProtectionPolicy {
   const PdpTable* pdpt() const override { return &pdpt_; }
   const VictimTagArray* vta() const override { return &vta_; }
   std::uint32_t PdForPc(Pc pc) const override { return pdpt_.PdForPc(pc); }
+  const ProtectionStats* protection_stats() const override { return &stats_; }
   PdpTable* mutable_pdpt() override { return &pdpt_; }
   VictimTagArray* mutable_vta() override { return &vta_; }
 
@@ -183,12 +190,7 @@ class ProtectedLifePolicy : public ProtectionPolicy {
   /// ownership to `pc` and rewrite PL (tracing PL-field saturation).
   void StampOwnership(CacheLine& line, Pc pc);
 
-  // Registry instruments (obs::Registry::Global(); stable pointers cached
-  // at construction). Pure telemetry: counted off completed policy work,
-  // never read back into decisions.
-  obs::Counter* m_pl_decrements_ = nullptr;  // cache.pl_decrements
-  obs::Counter* m_pd_recomputes_ = nullptr;  // cache.pd_recomputes
-  obs::Counter* m_vta_hits_ = nullptr;       // cache.vta_hits
+  ProtectionStats stats_;
 };
 
 class GlobalProtectionPolicy : public ProtectedLifePolicy {

@@ -2,30 +2,9 @@
 
 #include <thread>
 
-#include "obs/metrics.h"
 #include "sim/env.h"
 
 namespace dlpsim::exec {
-
-namespace detail {
-
-void CountJobsDispatched(std::size_t n) {
-  static obs::Counter* counter = [] {
-    obs::Registry& reg = obs::Registry::Global();
-    // Pre-register the thread pool's occupancy gauges (same identity and
-    // help text as ThreadPool's constructor): the jobs<=1 inline path
-    // never constructs a pool, and the set of registered instruments --
-    // not just their values -- must be identical across DLPSIM_JOBS for
-    // the metrics dump to stay byte-identical.
-    reg.GetGauge("exec", "queue_depth", "tasks enqueued and not yet started");
-    reg.GetGauge("exec", "jobs_inflight", "tasks currently executing");
-    return reg.GetCounter("exec", "jobs_dispatched",
-                          "work items handed to ParallelMap");
-  }();
-  counter->Add(n);
-}
-
-}  // namespace detail
 
 std::vector<Job> Grid(const std::vector<std::string>& apps,
                       const std::vector<std::string>& configs) {

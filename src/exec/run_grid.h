@@ -44,16 +44,6 @@ std::vector<Job> Grid(const std::vector<std::string>& apps,
 /// hardware_concurrency (never 0).
 std::size_t DefaultJobs();
 
-namespace detail {
-/// Adds `n` to the exec.jobs_dispatched registry counter. Lives in
-/// run_grid.cpp so this template header needs no obs/ include. Counted
-/// in ParallelMap itself -- NOT in the ThreadPool -- so the total is the
-/// same whether the work ran inline (jobs <= 1 never touches a pool) or
-/// on workers, preserving the registry's byte-identity across
-/// DLPSIM_JOBS.
-void CountJobsDispatched(std::size_t n);
-}  // namespace detail
-
 /// Runs fn(i) for i in [0, n) on up to `jobs` workers and returns the
 /// results in index order. jobs <= 1 executes inline (serial path). If
 /// any invocation throws, the first failing index's exception is
@@ -64,7 +54,6 @@ auto ParallelMap(std::size_t n, Fn&& fn, std::size_t jobs = DefaultJobs())
   using R = std::invoke_result_t<Fn&, std::size_t>;
   std::vector<R> results(n);
   if (n == 0) return results;
-  detail::CountJobsDispatched(n);
   if (jobs <= 1) {
     for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);
     return results;

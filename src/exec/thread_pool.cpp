@@ -2,17 +2,10 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace dlpsim::exec {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
-  obs::Registry& reg = obs::Registry::Global();
-  m_queue_depth_ = reg.GetGauge("exec", "queue_depth",
-                                "tasks enqueued and not yet started");
-  m_jobs_inflight_ =
-      reg.GetGauge("exec", "jobs_inflight", "tasks currently executing");
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -33,7 +26,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
   }
-  m_queue_depth_->Add();
   task_ready_.notify_one();
 }
 
@@ -59,15 +51,12 @@ void ThreadPool::WorkerLoop() {
     queue_.pop_front();
     ++active_;
     lock.unlock();
-    m_queue_depth_->Sub();
-    m_jobs_inflight_->Add();
     std::exception_ptr error;
     try {
       task();
     } catch (...) {
       error = std::current_exception();
     }
-    m_jobs_inflight_->Sub();
     lock.lock();
     if (error && !first_error_) first_error_ = error;
     --active_;

@@ -25,10 +25,6 @@
 #include <thread>
 #include <vector>
 
-namespace dlpsim::obs {
-class Gauge;
-}  // namespace dlpsim::obs
-
 namespace dlpsim::exec {
 
 class ThreadPool {
@@ -63,10 +59,6 @@ class ThreadPool {
   bool stop_ = false;
   std::exception_ptr first_error_;  // first task exception since last Wait
   std::vector<std::thread> workers_;
-  // Registry occupancy gauges (net Add/Sub; both read 0 once the pool is
-  // drained, so quiescent-point metric dumps stay schedule-independent).
-  obs::Gauge* m_queue_depth_ = nullptr;    // exec.queue_depth
-  obs::Gauge* m_jobs_inflight_ = nullptr;  // exec.jobs_inflight
 };
 
 }  // namespace dlpsim::exec

@@ -271,4 +271,49 @@ Metrics GpuSimulator::Collect() const {
   return m;
 }
 
+obs::Registry GpuSimulator::CounterTable() const {
+  obs::Registry t;
+  std::uint64_t& accesses = t.GetCounter(
+      "cache", "accesses", "L1D accesses committed (hit, miss or bypass)");
+  std::uint64_t& fills = t.GetCounter(
+      "cache", "fills", "L1D lines filled by returning responses");
+  obs::Histogram& mshr = t.GetHistogram(
+      "cache", "mshr_occupancy", L1DCache::kMshrOccupancyBounds,
+      "MSHR entries in use after each miss allocation");
+  std::uint64_t& pl_decrements = t.GetCounter(
+      "cache", "pl_decrements",
+      "protected-life decrements applied by set-query decay");
+  std::uint64_t& pd_recomputes = t.GetCounter(
+      "cache", "pd_recomputes",
+      "PDPT end-of-window protection-distance recomputations");
+  std::uint64_t& vta_hits = t.GetCounter(
+      "cache", "vta_hits", "victim-tag-array hits credited on load misses");
+  for (const SmCore& core : cores_) {
+    const L1DCache& l1d = core.l1d();
+    accesses += l1d.stats().accesses;
+    fills += l1d.stats().fills;
+    mshr.Merge(l1d.mshr_occupancy());
+    if (const ProtectionStats* p = l1d.policy().protection_stats()) {
+      pl_decrements += p->pl_decrements;
+      pd_recomputes += p->pd_recomputes;
+      vta_hits += p->vta_hits;
+    }
+  }
+  t.GetCounter("icnt", "packets_delivered",
+               "packets landed in a delivery queue") = icnt_.packets_delivered;
+  std::uint64_t& dram_reads =
+      t.GetCounter("mem", "dram_reads", "DRAM read commands issued");
+  std::uint64_t& dram_writes =
+      t.GetCounter("mem", "dram_writes", "DRAM write commands issued");
+  std::uint64_t& served =
+      t.GetCounter("mem", "requests_served",
+                   "read replies injected back into the interconnect");
+  for (const MemoryPartition& p : partitions_) {
+    dram_reads += p.dram().reads;
+    dram_writes += p.dram().writes;
+    served += p.requests_served;
+  }
+  return t;
+}
+
 }  // namespace dlpsim

@@ -10,6 +10,7 @@
 #include "gpu/metrics.h"
 #include "icnt/crossbar.h"
 #include "mem/partition.h"
+#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "robust/error.h"
 #include "sim/clock.h"
@@ -84,6 +85,13 @@ class GpuSimulator {
   bool Done() const;    // all cores drained, network and memory idle
 
   Metrics Collect() const;
+
+  /// This run's mechanism counters as a metrics table, read from the
+  /// components' own counters and summed over SMs and partitions:
+  /// cache.{accesses, fills, mshr_occupancy, pl_decrements, pd_recomputes,
+  /// vta_hits}, icnt.packets_delivered and mem.{dram_reads, dram_writes,
+  /// requests_served}. Every entry is present whatever the policy.
+  obs::Registry CounterTable() const;
 
   // --- resilience hooks (robust/) ---
 

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace dlpsim {
 
 Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t num_cores,
@@ -14,10 +12,7 @@ Crossbar::Crossbar(const IcntConfig& cfg, std::uint32_t num_cores,
       ports_(num_cores + num_partitions),
       busy_ports_((num_cores + num_partitions + 63) / 64, 0),
       to_partition_(num_partitions, RingQueue<IcntPacket>(kDeliveryQueueCap)),
-      to_core_(num_cores, RingQueue<IcntPacket>(kDeliveryQueueCap)),
-      m_delivered_(obs::Registry::Global().GetCounter(
-          "icnt", "packets_delivered",
-          "packets landed in a delivery queue")) {}
+      to_core_(num_cores, RingQueue<IcntPacket>(kDeliveryQueueCap)) {}
 
 void Crossbar::Inject(std::size_t port, const IcntPacket& pkt) {
   ports_[port].queue.push_back(pkt);
@@ -108,7 +103,6 @@ void Crossbar::Deliver(Cycle now) {
     if (queue.size() < kDeliveryQueueCap) {
       queue.push_back(f.pkt);
       ++packets_delivered;
-      m_delivered_->Add();
     } else {
       if (kept != due) flight_[kept] = f;
       ++kept;
@@ -149,15 +143,6 @@ Crossbar::QueueDepths Crossbar::Depths() const {
   for (const auto& q : to_partition_) d.to_partition += q.size();
   for (const auto& q : to_core_) d.to_core += q.size();
   return d;
-}
-
-void Crossbar::RegisterStats(StatRegistry& reg,
-                             const std::string& prefix) const {
-  reg.Register(prefix + ".bytes_core_to_mem", &bytes_core_to_mem);
-  reg.Register(prefix + ".bytes_mem_to_core", &bytes_mem_to_core);
-  reg.Register(prefix + ".bytes_l1d", &bytes_l1d);
-  reg.Register(prefix + ".bytes_other", &bytes_other);
-  reg.Register(prefix + ".packets_delivered", &packets_delivered);
 }
 
 }  // namespace dlpsim

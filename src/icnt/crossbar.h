@@ -21,14 +21,9 @@
 #include "cache/mshr.h"
 #include "sim/config.h"
 #include "sim/ring_queue.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace dlpsim {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 struct IcntPacket {
   enum class Kind : std::uint8_t {
@@ -100,8 +95,6 @@ class Crossbar {
     return bytes_core_to_mem + bytes_mem_to_core;
   }
 
-  void RegisterStats(StatRegistry& reg, const std::string& prefix) const;
-
  private:
   static constexpr std::size_t kInjectQueueCap = 8;
   static constexpr std::size_t kDeliveryQueueCap = 16;
@@ -135,7 +128,6 @@ class Crossbar {
   std::vector<RingQueue<IcntPacket>> to_core_;
   std::size_t in_network_ = 0;            // injected, not yet popped
   std::uint64_t fault_stall_cycles_ = 0;  // robust/: ticks to swallow
-  obs::Counter* m_delivered_ = nullptr;   // icnt.packets_delivered
 };
 
 }  // namespace dlpsim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.h"
-
 namespace dlpsim {
 
 DramChannel::DramChannel(const DramConfig& cfg, std::uint32_t line_bytes)
@@ -13,11 +11,7 @@ DramChannel::DramChannel(const DramConfig& cfg, std::uint32_t line_bytes)
       lines_per_row_(std::max(1u, cfg.row_bytes / line_bytes)),
       burst_(std::max<Cycle>(1, (line_bytes + cfg.bus_bytes_per_cycle - 1) /
                                     cfg.bus_bytes_per_cycle)),
-      banks_(cfg.banks),
-      m_reads_(obs::Registry::Global().GetCounter(
-          "mem", "dram_reads", "DRAM read commands issued")),
-      m_writes_(obs::Registry::Global().GetCounter(
-          "mem", "dram_writes", "DRAM write commands issued")) {
+      banks_(cfg.banks) {
   queue_.reserve(kQueueCap);
 }
 
@@ -58,7 +52,6 @@ void DramChannel::IssueFirstReady(Cycle now) {
     // The bus only moves forward, so in_service_ stays ordered by done_at.
     bus_busy_until_ = std::max(bus_busy_until_, now + latency) + burst_;
     req.write ? ++writes : ++reads;
-    (req.write ? m_writes_ : m_reads_)->Add();
     in_service_.push_back(InService{
         Completion{req.block, req.write, req.tag}, bus_busy_until_});
     queue_.erase(it);
@@ -80,14 +73,6 @@ const std::vector<DramChannel::Completion>& DramChannel::Tick(Cycle now) {
     in_service_.pop_front();
   }
   return done_;
-}
-
-void DramChannel::RegisterStats(StatRegistry& reg,
-                                const std::string& prefix) const {
-  reg.Register(prefix + ".reads", &reads);
-  reg.Register(prefix + ".writes", &writes);
-  reg.Register(prefix + ".row_hits", &row_hits);
-  reg.Register(prefix + ".row_misses", &row_misses);
 }
 
 }  // namespace dlpsim

@@ -14,14 +14,9 @@
 
 #include "sim/config.h"
 #include "sim/ring_queue.h"
-#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace dlpsim {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 class DramChannel {
  public:
@@ -61,8 +56,6 @@ class DramChannel {
   std::uint64_t row_hits = 0;
   std::uint64_t row_misses = 0;
 
-  void RegisterStats(StatRegistry& reg, const std::string& prefix) const;
-
  private:
   struct Bank {
     Cycle busy_until = 0;
@@ -92,8 +85,6 @@ class DramChannel {
   std::vector<Completion> done_;     // Tick's reused result buffer
   Cycle bus_busy_until_ = 0;
   Cycle first_bank_free_at_ = 0;  // min busy_until over banks_
-  obs::Counter* m_reads_ = nullptr;   // mem.dram_reads
-  obs::Counter* m_writes_ = nullptr;  // mem.dram_writes
 
   static constexpr std::size_t kQueueCap = 32;
 };

@@ -74,7 +74,6 @@ class MemoryPartition {
   RingQueue<IcntPacket> retry_;  // requests stalled by the L2
   RingQueue<DramChannel::Request> dram_backlog_;  // L2 misses / writes
   std::uint64_t fault_stall_cycles_ = 0;           // robust/: ticks to swallow
-  obs::Counter* m_served_ = nullptr;               // mem.requests_served
 };
 
 }  // namespace dlpsim

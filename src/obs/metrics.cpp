@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -11,54 +12,10 @@ const char* ToString(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter:
       return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
     case MetricKind::kHistogram:
       return "histogram";
   }
   return "?";
-}
-
-namespace detail {
-
-std::size_t ThisShard() {
-  // Monotone registration counter, wrapped onto the fixed shard set.
-  // Shard collisions (> kMetricShards live threads) only cost contention:
-  // the relaxed atomic adds stay correct and the merged sums unchanged.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Counter / Gauge
-// ---------------------------------------------------------------------------
-
-std::uint64_t Counter::Value() const {
-  std::uint64_t total = 0;
-  for (const detail::Slot& s : slots_) {
-    total += static_cast<std::uint64_t>(s.v.load(std::memory_order_relaxed));
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-}
-
-std::int64_t Gauge::Value() const {
-  std::int64_t total = 0;
-  for (const detail::Slot& s : slots_) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Gauge::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -66,56 +23,36 @@ void Gauge::Reset() {
 // ---------------------------------------------------------------------------
 
 Histogram::Histogram(std::span<const std::uint64_t> bounds)
-    : bounds_(bounds.begin(), bounds.end()) {
+    : bounds_(bounds.begin(), bounds.end()), buckets_(bounds.size() + 1, 0) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
     if (bounds_[i] <= bounds_[i - 1]) {
       throw std::logic_error("histogram bounds must be strictly increasing");
     }
   }
-  // Per shard: bounds+1 buckets (last = overflow) plus one sum slot.
-  stride_ = bounds_.size() + 2;
-  slots_ = std::vector<detail::Slot>(kMetricShards * stride_);
 }
 
 void Histogram::Observe(std::uint64_t v) {
   // First bound >= v wins (Prometheus "le" semantics); above the last
   // bound lands in the overflow bucket.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-  const std::size_t base = detail::ThisShard() * stride_;
-  slots_[base + bucket].v.fetch_add(1, std::memory_order_relaxed);
-  slots_[base + stride_ - 1].v.fetch_add(static_cast<std::int64_t>(v),
-                                         std::memory_order_relaxed);
+  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+  sum_ += v;
 }
 
-std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      counts[b] += static_cast<std::uint64_t>(
-          slots_[s * stride_ + b].v.load(std::memory_order_relaxed));
-    }
+void Histogram::Merge(const Histogram& other) {
+  if (other.bounds_ != bounds_) {
+    throw std::logic_error("histogram bounds mismatch");
   }
-  return counts;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    buckets_[b] += other.buckets_[b];
+  }
+  sum_ += other.sum_;
 }
 
 std::uint64_t Histogram::Count() const {
   std::uint64_t n = 0;
-  for (const std::uint64_t c : BucketCounts()) n += c;
+  for (const std::uint64_t c : buckets_) n += c;
   return n;
-}
-
-std::uint64_t Histogram::Sum() const {
-  std::uint64_t sum = 0;
-  for (std::size_t s = 0; s < kMetricShards; ++s) {
-    sum += static_cast<std::uint64_t>(
-        slots_[s * stride_ + stride_ - 1].v.load(std::memory_order_relaxed));
-  }
-  return sum;
-}
-
-void Histogram::Reset() {
-  for (detail::Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,127 +66,79 @@ std::string KeyOf(std::string_view scope, std::string_view name) {
   key += name;
   return key;
 }
+
+[[noreturn]] void ThrowClash(std::string_view scope, std::string_view name) {
+  throw std::logic_error("metric " + std::string(scope) + "." +
+                         std::string(name) +
+                         " already registered with a different kind/bounds");
+}
 }  // namespace
 
-Registry::Entry* Registry::FindOrNull(const std::string& key) {
-  const auto it = entries_.find(key);
+Registry::Entry& Registry::Emplace(std::string_view scope,
+                                   std::string_view name,
+                                   std::string_view help, MetricKind kind) {
+  const auto [it, inserted] = entries_.try_emplace(KeyOf(scope, name));
+  Entry& e = it->second;
+  if (inserted) {
+    e.scope = scope;
+    e.name = name;
+    e.help = help;
+    e.kind = kind;
+  } else if (e.kind != kind) {
+    ThrowClash(scope, name);
+  }
+  return e;
+}
+
+const Registry::Entry* Registry::Find(std::string_view scope,
+                                      std::string_view name) const {
+  const auto it = entries_.find(KeyOf(scope, name));
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-Counter* Registry::GetCounter(std::string_view scope, std::string_view name,
-                              std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = KeyOf(scope, name);
-  if (Entry* e = FindOrNull(key); e != nullptr) {
-    if (e->info.kind != MetricKind::kCounter) {
-      throw std::logic_error("metric " + std::string(scope) + "." +
-                             std::string(name) +
-                             " already registered with a different kind");
-    }
-    return e->counter.get();
-  }
-  Entry& e = entries_[key];
-  e.info = {std::string(scope), std::string(name), std::string(help),
-            MetricKind::kCounter};
-  e.counter = std::make_unique<Counter>();
-  return e.counter.get();
+std::uint64_t& Registry::GetCounter(std::string_view scope,
+                                    std::string_view name,
+                                    std::string_view help) {
+  return Emplace(scope, name, help, MetricKind::kCounter).counter;
 }
 
-Gauge* Registry::GetGauge(std::string_view scope, std::string_view name,
-                          std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = KeyOf(scope, name);
-  if (Entry* e = FindOrNull(key); e != nullptr) {
-    if (e->info.kind != MetricKind::kGauge) {
-      throw std::logic_error("metric " + std::string(scope) + "." +
-                             std::string(name) +
-                             " already registered with a different kind");
-    }
-    return e->gauge.get();
-  }
-  Entry& e = entries_[key];
-  e.info = {std::string(scope), std::string(name), std::string(help),
-            MetricKind::kGauge};
-  e.gauge = std::make_unique<Gauge>();
-  return e.gauge.get();
-}
-
-Histogram* Registry::GetHistogram(std::string_view scope,
+Histogram& Registry::GetHistogram(std::string_view scope,
                                   std::string_view name,
                                   std::span<const std::uint64_t> bounds,
                                   std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = KeyOf(scope, name);
-  if (Entry* e = FindOrNull(key); e != nullptr) {
-    if (e->info.kind != MetricKind::kHistogram ||
-        !std::equal(bounds.begin(), bounds.end(),
-                    e->histogram->bounds().begin(),
-                    e->histogram->bounds().end())) {
-      throw std::logic_error("metric " + std::string(scope) + "." +
-                             std::string(name) +
-                             " already registered with a different "
-                             "kind/bounds");
-    }
-    return e->histogram.get();
+  Histogram fresh(bounds);  // validates before anything is inserted
+  Entry& e = Emplace(scope, name, help, MetricKind::kHistogram);
+  if (!e.histogram) {
+    e.histogram = std::move(fresh);
+  } else if (!std::equal(bounds.begin(), bounds.end(),
+                         e.histogram->bounds().begin(),
+                         e.histogram->bounds().end())) {
+    ThrowClash(scope, name);
   }
-  Entry& e = entries_[key];
-  e.info = {std::string(scope), std::string(name), std::string(help),
-            MetricKind::kHistogram};
-  e.histogram = std::make_unique<Histogram>(bounds);
-  return e.histogram.get();
+  return *e.histogram;
 }
 
-std::vector<MetricSample> Registry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSample> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    MetricSample s;
-    s.info = e.info;
-    switch (e.info.kind) {
-      case MetricKind::kCounter:
-        s.counter = e.counter->Value();
-        break;
-      case MetricKind::kGauge:
-        s.gauge = e.gauge->Value();
-        break;
-      case MetricKind::kHistogram:
-        s.bounds = e.histogram->bounds();
-        s.bucket_counts = e.histogram->BucketCounts();
-        s.count = e.histogram->Count();
-        s.sum = e.histogram->Sum();
-        break;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
+std::uint64_t Registry::CounterValue(std::string_view scope,
+                                     std::string_view name) const {
+  const Entry* e = Find(scope, name);
+  return e != nullptr && e->kind == MetricKind::kCounter ? e->counter : 0;
 }
 
-void Registry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, e] : entries_) {
-    switch (e.info.kind) {
-      case MetricKind::kCounter:
-        e.counter->Reset();
-        break;
-      case MetricKind::kGauge:
-        e.gauge->Reset();
-        break;
-      case MetricKind::kHistogram:
-        e.histogram->Reset();
-        break;
+const Histogram* Registry::FindHistogram(std::string_view scope,
+                                         std::string_view name) const {
+  const Entry* e = Find(scope, name);
+  return e != nullptr && e->histogram ? &*e->histogram : nullptr;
+}
+
+void Registry::Merge(const Registry& other) {
+  for (const auto& [key, e] : other.entries_) {
+    if (e.kind == MetricKind::kCounter) {
+      GetCounter(e.scope, e.name, e.help) += e.counter;
+    } else {
+      GetHistogram(e.scope, e.name, e.histogram->bounds(), e.help)
+          .Merge(*e.histogram);
     }
   }
-}
-
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-Registry& Registry::Global() {
-  static Registry registry;
-  return registry;
 }
 
 // ---------------------------------------------------------------------------
@@ -292,25 +181,13 @@ std::string PrometheusLabelEscape(std::string_view s) {
   return out;
 }
 
-std::string CsvField(std::string_view s) {
-  const bool hostile = s.find_first_of(",\"\r\n") != std::string_view::npos;
-  if (!hostile) return std::string(s);
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 void Registry::WriteText(std::ostream& os) const {
-  for (const MetricSample& s : Snapshot()) {
-    const std::string pname = PrometheusName(s.info.scope, s.info.name);
-    if (!s.info.help.empty()) {
+  for (const auto& [key, e] : entries_) {
+    const std::string pname = PrometheusName(e.scope, e.name);
+    if (!e.help.empty()) {
       // HELP text: escape backslash and newline per the exposition format.
       std::string help;
-      for (const char c : s.info.help) {
+      for (const char c : e.help) {
         if (c == '\\') {
           help += "\\\\";
         } else if (c == '\n') {
@@ -321,39 +198,32 @@ void Registry::WriteText(std::ostream& os) const {
       }
       os << "# HELP " << pname << ' ' << help << '\n';
     }
-    os << "# TYPE " << pname << ' ' << ToString(s.info.kind) << '\n';
+    os << "# TYPE " << pname << ' ' << ToString(e.kind) << '\n';
     // Sanitizing can collapse distinct raw names; the raw identity rides
     // along as labels so nothing is lost.
-    const std::string labels = "{scope=\"" +
-                               PrometheusLabelEscape(s.info.scope) +
-                               "\",name=\"" +
-                               PrometheusLabelEscape(s.info.name) + "\"}";
-    switch (s.info.kind) {
-      case MetricKind::kCounter:
-        os << pname << labels << ' ' << s.counter << '\n';
-        break;
-      case MetricKind::kGauge:
-        os << pname << labels << ' ' << s.gauge << '\n';
-        break;
-      case MetricKind::kHistogram: {
-        std::uint64_t cumulative = 0;
-        for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-          cumulative += s.bucket_counts[b];
-          os << pname << "_bucket{scope=\""
-             << PrometheusLabelEscape(s.info.scope) << "\",name=\""
-             << PrometheusLabelEscape(s.info.name) << "\",le=\"";
-          if (b < s.bounds.size()) {
-            os << s.bounds[b];
-          } else {
-            os << "+Inf";
-          }
-          os << "\"} " << cumulative << '\n';
-        }
-        os << pname << "_sum" << labels << ' ' << s.sum << '\n';
-        os << pname << "_count" << labels << ' ' << s.count << '\n';
-        break;
-      }
+    const std::string scope = PrometheusLabelEscape(e.scope);
+    const std::string name = PrometheusLabelEscape(e.name);
+    const std::string labels =
+        "{scope=\"" + scope + "\",name=\"" + name + "\"}";
+    if (e.kind == MetricKind::kCounter) {
+      os << pname << labels << ' ' << e.counter << '\n';
+      continue;
     }
+    const Histogram& h = *e.histogram;
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < h.buckets().size(); ++b) {
+      cumulative += h.buckets()[b];
+      os << pname << "_bucket{scope=\"" << scope << "\",name=\"" << name
+         << "\",le=\"";
+      if (b < h.bounds().size()) {
+        os << h.bounds()[b];
+      } else {
+        os << "+Inf";
+      }
+      os << "\"} " << cumulative << '\n';
+    }
+    os << pname << "_sum" << labels << ' ' << h.Sum() << '\n';
+    os << pname << "_count" << labels << ' ' << h.Count() << '\n';
   }
 }
 
@@ -362,65 +232,30 @@ void Registry::WriteJson(std::ostream& os) const {
   w.BeginObject();
   w.KV("schema", "dlpsim-metrics-v1");
   w.Key("metrics").BeginArray();
-  for (const MetricSample& s : Snapshot()) {
+  for (const auto& [key, e] : entries_) {
     w.BeginObject();
-    w.KV("scope", s.info.scope);
-    w.KV("name", s.info.name);
-    w.KV("kind", ToString(s.info.kind));
-    if (!s.info.help.empty()) w.KV("help", s.info.help);
-    switch (s.info.kind) {
-      case MetricKind::kCounter:
-        w.KV("value", s.counter);
-        break;
-      case MetricKind::kGauge:
-        w.KV("value", std::int64_t{s.gauge});
-        break;
-      case MetricKind::kHistogram:
-        w.Key("bounds").BeginArray();
-        for (const std::uint64_t b : s.bounds) w.Value(b);
-        w.EndArray();
-        w.Key("buckets").BeginArray();
-        for (const std::uint64_t c : s.bucket_counts) w.Value(c);
-        w.EndArray();
-        w.KV("count", s.count);
-        w.KV("sum", s.sum);
-        break;
+    w.KV("scope", e.scope);
+    w.KV("name", e.name);
+    w.KV("kind", ToString(e.kind));
+    if (!e.help.empty()) w.KV("help", e.help);
+    if (e.kind == MetricKind::kCounter) {
+      w.KV("value", e.counter);
+    } else {
+      const Histogram& h = *e.histogram;
+      w.Key("bounds").BeginArray();
+      for (const std::uint64_t b : h.bounds()) w.Value(b);
+      w.EndArray();
+      w.Key("buckets").BeginArray();
+      for (const std::uint64_t c : h.buckets()) w.Value(c);
+      w.EndArray();
+      w.KV("count", h.Count());
+      w.KV("sum", h.Sum());
     }
     w.EndObject();
   }
   w.EndArray();
   w.EndObject();
   os << '\n';
-}
-
-void Registry::WriteCsv(std::ostream& os) const {
-  os << "scope,name,kind,bucket,value\n";
-  for (const MetricSample& s : Snapshot()) {
-    const std::string prefix = CsvField(s.info.scope) + ',' +
-                               CsvField(s.info.name) + ',' +
-                               ToString(s.info.kind);
-    switch (s.info.kind) {
-      case MetricKind::kCounter:
-        os << prefix << ",," << s.counter << '\n';
-        break;
-      case MetricKind::kGauge:
-        os << prefix << ",," << s.gauge << '\n';
-        break;
-      case MetricKind::kHistogram:
-        for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-          os << prefix << ",le=";
-          if (b < s.bounds.size()) {
-            os << s.bounds[b];
-          } else {
-            os << "inf";
-          }
-          os << ',' << s.bucket_counts[b] << '\n';
-        }
-        os << prefix << ",sum," << s.sum << '\n';
-        os << prefix << ",count," << s.count << '\n';
-        break;
-    }
-  }
 }
 
 }  // namespace dlpsim::obs

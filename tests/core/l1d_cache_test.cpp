@@ -248,6 +248,29 @@ TEST(L1DCache, DlpBypassesWhenSetFullyProtected) {
   EXPECT_EQ(tda.At(0, 1).protected_life, 4u);
 }
 
+TEST(L1DCache, MshrOccupancyObservesEachIssuedMiss) {
+  L1DCache cache(SmallConfig());
+  // Four misses to distinct lines: 1, 2, 3 and 4 MSHR entries in use
+  // right after each allocation.
+  for (Addr a = 0; a < 4; ++a) {
+    ASSERT_EQ(cache.Access(Load(a * 128, 0, 1 + a), 0),
+              AccessResult::kMissIssued);
+  }
+  // A merge allocates no entry and is not observed.
+  EXPECT_EQ(cache.Access(Load(0, 0, 9), 0), AccessResult::kMissMerged);
+
+  const obs::Histogram& occ = cache.mshr_occupancy();
+  // Bounds {0, 1, 2, 4, 8, 16, 32}: 1 -> le=1, 2 -> le=2, 3 and 4 -> le=4.
+  EXPECT_EQ(occ.buckets(),
+            (std::vector<std::uint64_t>{0, 1, 1, 2, 0, 0, 0, 0}));
+  EXPECT_EQ(occ.Sum(), 1u + 2 + 3 + 4);
+  EXPECT_EQ(occ.Count(), cache.stats().misses_issued);
+
+  // Like CacheStats, the histogram survives Reset().
+  cache.Reset();
+  EXPECT_EQ(cache.mshr_occupancy().Sum(), 10u);
+}
+
 TEST(L1DCache, ResetClearsEverything) {
   L1DCache cache(SmallConfig());
   cache.Access(Load(0), 0);

@@ -117,6 +117,78 @@ TEST_F(DlpPolicyTest, EvictionFeedsVtaAndMissConsumesIt) {
   EXPECT_FALSE(policy_.vta()->Contains(2, 42));  // consumed
 }
 
+// The three protection counters the metrics dump publishes
+// (cache.pl_decrements, cache.vta_hits, cache.pd_recomputes), asserted
+// exactly: small-scale figure grids never exercise some of them.
+TEST_F(DlpPolicyTest, PlDecrementsCountEveryDecayStep) {
+  FillWay(tda_, 0, 0, 0);
+  FillWay(tda_, 0, 1, 4);
+  tda_.At(0, 0).protected_life = 3;
+  tda_.At(0, 1).protected_life = 1;
+  const ProtectionStats& stats = *policy_.protection_stats();
+  EXPECT_EQ(stats.pl_decrements, 0u);
+
+  policy_.OnSetQuery(tda_.SetView(0));  // 3 -> 2 and 1 -> 0
+  EXPECT_EQ(stats.pl_decrements, 2u);
+  policy_.OnSetQuery(tda_.SetView(0));  // 2 -> 1; way 1 stays at 0
+  policy_.OnSetQuery(tda_.SetView(0));  // 1 -> 0
+  EXPECT_EQ(stats.pl_decrements, 4u);
+  policy_.OnSetQuery(tda_.SetView(0));  // nothing left to decay
+  policy_.OnSetQuery(tda_.SetView(1));  // empty set
+  EXPECT_EQ(stats.pl_decrements, 4u);
+  EXPECT_EQ(stats.vta_hits, 0u);
+  EXPECT_EQ(stats.pd_recomputes, 0u);
+}
+
+TEST_F(DlpPolicyTest, VtaHitsCountEvictThenMissOnTheSameBlock) {
+  FillWay(tda_, 2, 0, 42);
+  policy_.OnEviction(2, tda_.At(2, 0));
+  const ProtectionStats& stats = *policy_.protection_stats();
+
+  policy_.OnLoadMiss(2, 7, /*pc=*/0);   // never evicted: no VTA hit
+  EXPECT_EQ(stats.vta_hits, 0u);
+  policy_.OnLoadMiss(2, 42, /*pc=*/0);  // evict-then-miss: one hit
+  EXPECT_EQ(stats.vta_hits, 1u);
+  policy_.OnLoadMiss(2, 42, /*pc=*/0);  // the hit consumed the entry
+  EXPECT_EQ(stats.vta_hits, 1u);
+  EXPECT_EQ(stats.pl_decrements, 0u);
+}
+
+TEST_F(DlpPolicyTest, PdRecomputesCountSampleWindows) {
+  // A window ends after cfg.prot.sample_accesses accesses (the cycle cap
+  // never fires here: every access is at cycle 0).
+  const std::uint32_t window = cfg_.prot.sample_accesses;
+  const ProtectionStats& stats = *policy_.protection_stats();
+  for (std::uint32_t i = 0; i + 1 < window; ++i) policy_.OnAccessSampled(0);
+  EXPECT_EQ(stats.pd_recomputes, 0u);
+  policy_.OnAccessSampled(0);
+  EXPECT_EQ(stats.pd_recomputes, 1u);
+  EXPECT_EQ(policy_.pdpt()->samples_taken, 1u);
+  for (std::uint32_t i = 0; i < window; ++i) policy_.OnAccessSampled(0);
+  EXPECT_EQ(stats.pd_recomputes, 2u);
+}
+
+TEST_F(DlpPolicyTest, ResetKeepsProtectionCounters) {
+  // Like CacheStats, the counters cover the cache's lifetime; Reset()
+  // between kernels clears the tables, not the telemetry.
+  FillWay(tda_, 0, 0, 42);
+  tda_.At(0, 0).protected_life = 1;
+  policy_.OnSetQuery(tda_.SetView(0));
+  policy_.OnEviction(0, tda_.At(0, 0));
+  policy_.OnLoadMiss(0, 42, /*pc=*/0);
+  policy_.Reset();
+  EXPECT_EQ(policy_.protection_stats()->pl_decrements, 1u);
+  EXPECT_EQ(policy_.protection_stats()->vta_hits, 1u);
+}
+
+TEST(ProtectionStats, OnlyProtectedLifePoliciesCount) {
+  EXPECT_EQ(BaselinePolicy().protection_stats(), nullptr);
+  EXPECT_EQ(StallBypassPolicy().protection_stats(), nullptr);
+  GlobalProtectionPolicy gp(SmallConfig(PolicyKind::kGlobalProtection));
+  ASSERT_NE(gp.protection_stats(), nullptr);
+  EXPECT_EQ(gp.protection_stats()->pl_decrements, 0u);
+}
+
 TEST_F(DlpPolicyTest, ReserveStampsInsnIdAndPd) {
   const Pc pc = 0x80;
   tda_.Reserve(0, 0, 7, pc);

@@ -1,14 +1,12 @@
-// Unit tests for the typed metrics registry (obs/metrics.h): instrument
-// semantics (counter/gauge/histogram), get-or-create identity, kind and
-// bounds mismatch detection, shard-merge correctness under threads, and
-// hostile-name escaping in every export format.
+// Unit tests for the metrics table (obs/metrics.h): counter and
+// histogram semantics, get-or-create identity, kind and bounds mismatch
+// detection, merging, and hostile-name escaping in both export formats.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "obs/json.h"
@@ -18,63 +16,39 @@ namespace {
 
 TEST(Counter, AddAndMerge) {
   Registry reg;
-  Counter* c = reg.GetCounter("test", "adds");
-  EXPECT_EQ(c->Value(), 0u);
-  c->Add();
-  c->Add(41);
-  EXPECT_EQ(c->Value(), 42u);
-  c->Reset();
-  EXPECT_EQ(c->Value(), 0u);
-}
+  std::uint64_t& c = reg.GetCounter("test", "adds");
+  EXPECT_EQ(c, 0u);
+  c += 1;
+  c += 41;
+  EXPECT_EQ(reg.CounterValue("test", "adds"), 42u);
 
-TEST(Counter, ThreadedAddsMergeExactly) {
-  Registry reg;
-  Counter* c = reg.GetCounter("test", "threaded");
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([c] {
-      for (int i = 0; i < kAddsPerThread; ++i) c->Add();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c->Value(), static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-}
-
-TEST(Gauge, NetSumAndQuiescentZero) {
-  Registry reg;
-  Gauge* g = reg.GetGauge("test", "depth");
-  g->Add(5);
-  g->Sub(2);
-  EXPECT_EQ(g->Value(), 3);
-  // Matched Add/Sub pairs from different threads net to zero (the
-  // quiescent-dump property DLPSIM_METRICS relies on).
-  std::thread other([g] { g->Sub(3); });
-  other.join();
-  EXPECT_EQ(g->Value(), 0);
+  Registry other;
+  other.GetCounter("test", "adds") = 8;
+  reg.Merge(other);
+  EXPECT_EQ(reg.CounterValue("test", "adds"), 50u);
+  EXPECT_EQ(reg.CounterValue("test", "absent"), 0u);
 }
 
 TEST(Histogram, BucketBoundariesUseLeSemantics) {
   Registry reg;
   const std::uint64_t bounds[] = {0, 1, 4};
-  Histogram* h = reg.GetHistogram("test", "occ", bounds);
+  Histogram& h = reg.GetHistogram("test", "occ", bounds);
 
-  h->Observe(0);  // le=0 bucket: v <= 0
-  h->Observe(1);  // le=1 bucket: exact bound lands inside it
-  h->Observe(2);  // le=4 bucket
-  h->Observe(4);  // le=4 bucket: exact bound again
-  h->Observe(5);  // overflow (+Inf)
-  h->Observe(1u << 30);
+  h.Observe(0);  // le=0 bucket: v <= 0
+  h.Observe(1);  // le=1 bucket: exact bound lands inside it
+  h.Observe(2);  // le=4 bucket
+  h.Observe(4);  // le=4 bucket: exact bound again
+  h.Observe(5);  // overflow (+Inf)
+  h.Observe(1u << 30);
 
-  const std::vector<std::uint64_t> counts = h->BucketCounts();
+  const std::vector<std::uint64_t>& counts = h.buckets();
   ASSERT_EQ(counts.size(), 4u);  // 3 bounds + overflow
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 1u);
   EXPECT_EQ(counts[2], 2u);
   EXPECT_EQ(counts[3], 2u);
-  EXPECT_EQ(h->Count(), 6u);
-  EXPECT_EQ(h->Sum(), 0u + 1 + 2 + 4 + 5 + (1u << 30));
+  EXPECT_EQ(h.Count(), 6u);
+  EXPECT_EQ(h.Sum(), 0u + 1 + 2 + 4 + 5 + (1u << 30));
 }
 
 TEST(Histogram, RejectsNonIncreasingBounds) {
@@ -84,27 +58,51 @@ TEST(Histogram, RejectsNonIncreasingBounds) {
   const std::uint64_t decreasing[] = {4, 2};
   EXPECT_THROW(reg.GetHistogram("test", "bad2", decreasing),
                std::logic_error);
+  // A rejected histogram leaves no half-made entry behind.
+  EXPECT_EQ(reg.size(), 0u);
+}
+
+TEST(Histogram, MergeAddsBucketsAndSums) {
+  const std::uint64_t bounds[] = {1, 4};
+  Histogram h(bounds);
+  Histogram other(bounds);
+  other.Observe(0);
+  other.Observe(9);
+  h.Observe(3);
+  h.Merge(other);
+  EXPECT_EQ(h.buckets(), (std::vector<std::uint64_t>{1, 1, 1}));
+  EXPECT_EQ(h.Count(), 3u);
+  EXPECT_EQ(h.Sum(), 12u);
+  const std::uint64_t other_bounds[] = {1, 8};
+  EXPECT_THROW(h.Merge(Histogram(other_bounds)), std::logic_error);
 }
 
 TEST(Registry, GetOrCreateReturnsStablePointers) {
   Registry reg;
-  Counter* a = reg.GetCounter("cache", "hits", "help text");
-  Counter* b = reg.GetCounter("cache", "hits");
+  std::uint64_t* a = &reg.GetCounter("cache", "hits", "help text");
+  std::uint64_t* b = &reg.GetCounter("cache", "hits");
   EXPECT_EQ(a, b);
   EXPECT_EQ(reg.size(), 1u);
 
   const std::uint64_t bounds[] = {1, 2};
-  Histogram* h1 = reg.GetHistogram("cache", "occ", bounds);
-  Histogram* h2 = reg.GetHistogram("cache", "occ", bounds);
+  Histogram* h1 = &reg.GetHistogram("cache", "occ", bounds);
+  // Later registrations never move earlier entries.
+  for (int i = 0; i < 100; ++i) reg.GetCounter("cache", std::to_string(i));
+  Histogram* h2 = &reg.GetHistogram("cache", "occ", bounds);
   EXPECT_EQ(h1, h2);
+  EXPECT_EQ(&reg.GetCounter("cache", "hits"), a);
+  EXPECT_EQ(reg.FindHistogram("cache", "occ"), h1);
 }
 
 TEST(Registry, KindMismatchThrows) {
   Registry reg;
   reg.GetCounter("s", "n");
-  EXPECT_THROW(reg.GetGauge("s", "n"), std::logic_error);
   const std::uint64_t bounds[] = {1};
   EXPECT_THROW(reg.GetHistogram("s", "n", bounds), std::logic_error);
+  reg.GetHistogram("s", "h", bounds);
+  EXPECT_THROW(reg.GetCounter("s", "h"), std::logic_error);
+  EXPECT_EQ(reg.FindHistogram("s", "n"), nullptr);
+  EXPECT_EQ(reg.CounterValue("s", "h"), 0u);
 }
 
 TEST(Registry, HistogramBoundsMismatchThrows) {
@@ -113,14 +111,18 @@ TEST(Registry, HistogramBoundsMismatchThrows) {
   reg.GetHistogram("s", "h", bounds);
   const std::uint64_t other[] = {1, 2};
   EXPECT_THROW(reg.GetHistogram("s", "h", other), std::logic_error);
+
+  Registry clash;
+  clash.GetHistogram("s", "h", other);
+  EXPECT_THROW(reg.Merge(clash), std::logic_error);
 }
 
 TEST(Registry, ScopeNameKeyNeverCollides) {
   // ("a", "b_c") and ("a_b", "c") would collide under naive "a_b_c"
   // joining; the \x1f key separator keeps them distinct.
   Registry reg;
-  Counter* x = reg.GetCounter("a", "b_c");
-  Counter* y = reg.GetCounter("a_b", "c");
+  std::uint64_t* x = &reg.GetCounter("a", "b_c");
+  std::uint64_t* y = &reg.GetCounter("a_b", "c");
   EXPECT_NE(x, y);
   EXPECT_EQ(reg.size(), 2u);
 }
@@ -130,31 +132,46 @@ TEST(Registry, SnapshotSortedByScopeThenName) {
   reg.GetCounter("zeta", "a");
   reg.GetCounter("alpha", "b");
   reg.GetCounter("alpha", "a");
-  const std::vector<MetricSample> snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].info.scope, "alpha");
-  EXPECT_EQ(snap[0].info.name, "a");
-  EXPECT_EQ(snap[1].info.scope, "alpha");
-  EXPECT_EQ(snap[1].info.name, "b");
-  EXPECT_EQ(snap[2].info.scope, "zeta");
+  std::ostringstream os;
+  reg.WriteJson(os);
+  bool ok = false;
+  const JsonValue doc = ParseJson(os.str(), &ok);
+  ASSERT_TRUE(ok);
+  const std::vector<JsonValue>& m = doc.Find("metrics")->array;
+  ASSERT_EQ(m.size(), 3u);
+  EXPECT_EQ(m[0].Find("scope")->string, "alpha");
+  EXPECT_EQ(m[0].Find("name")->string, "a");
+  EXPECT_EQ(m[1].Find("scope")->string, "alpha");
+  EXPECT_EQ(m[1].Find("name")->string, "b");
+  EXPECT_EQ(m[2].Find("scope")->string, "zeta");
 }
 
-TEST(Registry, ResetZeroesButKeepsRegistrations) {
-  Registry reg;
-  Counter* c = reg.GetCounter("s", "c");
-  Gauge* g = reg.GetGauge("s", "g");
-  const std::uint64_t bounds[] = {1};
-  Histogram* h = reg.GetHistogram("s", "h", bounds);
-  c->Add(3);
-  g->Add(4);
-  h->Observe(2);
-  reg.Reset();
-  EXPECT_EQ(c->Value(), 0u);
-  EXPECT_EQ(g->Value(), 0);
-  EXPECT_EQ(h->Count(), 0u);
-  EXPECT_EQ(h->Sum(), 0u);
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_EQ(reg.GetCounter("s", "c"), c);  // pointer survives Reset
+TEST(Registry, MergeIsOrderIndependent) {
+  // A grid's total must not depend on which cell finished first.
+  const std::uint64_t bounds[] = {2, 8};
+  std::vector<Registry> runs(3);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    runs[i].GetCounter("cache", "accesses", "help") = 10 * (i + 1);
+    runs[i].GetHistogram("cache", "occ", bounds).Observe(3 * i);
+  }
+  runs[2].GetCounter("mem", "only_in_one_run") = 5;
+
+  Registry forward;
+  Registry backward;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    forward.Merge(runs[i]);
+    backward.Merge(runs[runs.size() - 1 - i]);
+  }
+  std::ostringstream f;
+  std::ostringstream b;
+  forward.WriteText(f);
+  backward.WriteText(b);
+  EXPECT_EQ(f.str(), b.str());
+  EXPECT_EQ(forward.CounterValue("cache", "accesses"), 60u);
+  EXPECT_EQ(forward.CounterValue("mem", "only_in_one_run"), 5u);
+  ASSERT_NE(forward.FindHistogram("cache", "occ"), nullptr);
+  EXPECT_EQ(forward.FindHistogram("cache", "occ")->Count(), 3u);
+  EXPECT_EQ(forward.FindHistogram("cache", "occ")->Sum(), 0u + 3 + 6);
 }
 
 // --- exposition formats ---
@@ -169,22 +186,14 @@ TEST(Exposition, PrometheusLabelEscapes) {
   EXPECT_EQ(PrometheusLabelEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
-TEST(Exposition, CsvFieldQuotesHostileValues) {
-  EXPECT_EQ(CsvField("plain"), "plain");
-  EXPECT_EQ(CsvField("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvField("line\nbreak"), "\"line\nbreak\"");
-}
-
 TEST(Exposition, WriteTextEmitsHelpTypeAndHistogramSeries) {
   Registry reg;
-  Counter* c = reg.GetCounter("cache", "hits", "L1D load hits");
-  c->Add(7);
+  reg.GetCounter("cache", "hits", "L1D load hits") += 7;
   const std::uint64_t bounds[] = {1, 4};
-  Histogram* h = reg.GetHistogram("cache", "occ", bounds);
-  h->Observe(1);
-  h->Observe(2);
-  h->Observe(9);
+  Histogram& h = reg.GetHistogram("cache", "occ", bounds);
+  h.Observe(1);
+  h.Observe(2);
+  h.Observe(9);
 
   std::ostringstream os;
   reg.WriteText(os);
@@ -210,8 +219,7 @@ TEST(Exposition, HostileNamesSurviveEveryFormat) {
   Registry reg;
   const std::string scope = "we\"ird\\scope";
   const std::string name = "name,with\n\"hostility\"";
-  Counter* c = reg.GetCounter(scope, name, "help \"quoted\"\nline");
-  c->Add(1);
+  reg.GetCounter(scope, name, "help \"quoted\"\nline") += 1;
 
   // Prometheus: label values escaped, metric name fully sanitized.
   std::ostringstream prom;
@@ -232,23 +240,16 @@ TEST(Exposition, HostileNamesSurviveEveryFormat) {
   EXPECT_EQ(metrics->array[0].Find("scope")->string, scope);
   EXPECT_EQ(metrics->array[0].Find("name")->string, name);
   EXPECT_EQ(metrics->array[0].U64("value"), 1u);
-
-  // CSV: hostile fields quoted, so the row still has exactly 5 columns
-  // when parsed with an RFC-4180 reader (spot-check the quoting).
-  std::ostringstream csv;
-  reg.WriteCsv(csv);
-  EXPECT_NE(csv.str().find("\"name,with\n\"\"hostility\"\"\""),
-            std::string::npos);
 }
 
 TEST(Exposition, WriteJsonParsesAndCarriesHistograms) {
   Registry reg;
   const std::uint64_t bounds[] = {2, 8};
-  Histogram* h = reg.GetHistogram("mem", "burst", bounds, "burst size");
-  h->Observe(1);
-  h->Observe(8);
-  h->Observe(100);
-  reg.GetGauge("exec", "depth")->Add(-2);
+  Histogram& h = reg.GetHistogram("mem", "burst", bounds, "burst size");
+  h.Observe(1);
+  h.Observe(8);
+  h.Observe(100);
+  reg.GetCounter("exec", "depth") = 2;
 
   std::ostringstream os;
   reg.WriteJson(os);
@@ -260,21 +261,18 @@ TEST(Exposition, WriteJsonParsesAndCarriesHistograms) {
   ASSERT_NE(metrics, nullptr);
   ASSERT_EQ(metrics->array.size(), 2u);
   // Sorted by scope: exec before mem.
-  const JsonValue& gauge = metrics->array[0];
-  EXPECT_EQ(gauge.Find("kind")->string, "gauge");
-  EXPECT_EQ(gauge.Find("value")->number, -2.0);
+  const JsonValue& counter = metrics->array[0];
+  EXPECT_EQ(counter.Find("kind")->string, "counter");
+  EXPECT_EQ(counter.U64("value"), 2u);
   const JsonValue& hist = metrics->array[1];
   EXPECT_EQ(hist.Find("kind")->string, "histogram");
+  EXPECT_EQ(hist.Find("help")->string, "burst size");
   ASSERT_EQ(hist.Find("buckets")->array.size(), 3u);
   EXPECT_EQ(hist.Find("buckets")->array[0].number_u64, 1u);
   EXPECT_EQ(hist.Find("buckets")->array[1].number_u64, 1u);
   EXPECT_EQ(hist.Find("buckets")->array[2].number_u64, 1u);
   EXPECT_EQ(hist.U64("count"), 3u);
   EXPECT_EQ(hist.U64("sum"), 109u);
-}
-
-TEST(Registry, GlobalIsSameInstance) {
-  EXPECT_EQ(&Registry::Global(), &Registry::Global());
 }
 
 }  // namespace

@@ -118,17 +118,17 @@ DifferentialRun ReplayAll(const std::string& path, std::size_t jobs) {
 
   // Registry dump: a fresh local registry fed only by this run, so the
   // dump is a pure function of the replay results (merge-order
-  // independence of the global registry is pinned elsewhere).
+  // independence of summed tables is pinned elsewhere).
   obs::Registry reg;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const std::string scope = "replay." + sweep[i].first;
-    reg.GetCounter(scope, "cycles")->Add(results[i].cycles);
-    reg.GetCounter(scope, "accesses")->Add(results[i].accesses);
-    reg.GetCounter(scope, "stall_cycles")->Add(results[i].stall_cycles);
-    reg.GetCounter(scope, "load_hits")->Add(results[i].cache.load_hits);
-    reg.GetCounter(scope, "load_misses")->Add(results[i].cache.load_misses);
-    reg.GetCounter(scope, "bypasses")->Add(results[i].cache.bypasses);
-    reg.GetCounter(scope, "evictions")->Add(results[i].cache.evictions);
+    reg.GetCounter(scope, "cycles") += results[i].cycles;
+    reg.GetCounter(scope, "accesses") += results[i].accesses;
+    reg.GetCounter(scope, "stall_cycles") += results[i].stall_cycles;
+    reg.GetCounter(scope, "load_hits") += results[i].cache.load_hits;
+    reg.GetCounter(scope, "load_misses") += results[i].cache.load_misses;
+    reg.GetCounter(scope, "bypasses") += results[i].cache.bypasses;
+    reg.GetCounter(scope, "evictions") += results[i].cache.evictions;
   }
   std::ostringstream reg_os;
   reg.WriteJson(reg_os);

@@ -38,6 +38,20 @@ TEST(Differential, DiffStatsNamesEveryDifferingField) {
   EXPECT_TRUE(DiffStats(a, a).empty());
 }
 
+TEST(Differential, DiffStatsWalksTheCacheStatsFieldTable) {
+  // The field table lists every CacheStats counter exactly once, so a
+  // difference in any one of them is named, and only that one.
+  const auto fields = CacheStatsFields();
+  EXPECT_EQ(fields.size() * sizeof(std::uint64_t), sizeof(CacheStats));
+  for (const CacheStatsField& f : fields) {
+    CacheStats a;
+    CacheStats b;
+    b.*(f.member) = 1;
+    EXPECT_EQ(DiffStats(a, b),
+              std::string(f.name) + ": real=0 oracle=1");
+  }
+}
+
 TEST(Differential, TwinRealIdenticalConfigsNeverDiverge) {
   const FuzzCase c = MakeFuzzCase(11, PolicyKind::kDlp);
   const std::optional<Divergence> d =
