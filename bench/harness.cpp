@@ -20,7 +20,6 @@
 #include "gpu/simulator.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/timeline.h"
 #include "obs/trace_sink.h"
@@ -91,8 +90,6 @@ std::uint64_t ProgressInterval() {
   const std::uint64_t v = env::U64("DLPSIM_PROGRESS", 1);
   return v >= 2 ? v : 1'000'000;
 }
-
-bool ProfileEnabled() { return env::Flag("DLPSIM_PROFILE"); }
 
 // Sum of the counter tables of every cell this process simulated; cells
 // finish concurrently under RunGrid, so merges take the lock. Integer
@@ -269,44 +266,6 @@ void ExportFaultArtifacts(const std::string& abbr, const std::string& config,
   }
 }
 
-/// Writes one profiled cell's phase breakdown into DLPSIM_TIMING_DIR in
-/// every supported shape: JSON (machine), collapsed stacks (flamegraph),
-/// Prometheus text and a Chrome trace of the retained spans. Best-effort.
-void ExportProfile(const std::string& abbr, const std::string& config,
-                   const obs::Profiler& profiler) {
-  namespace fs = std::filesystem;
-  const fs::path dir = TimingDir();
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const std::string stem = abbr + "_" + config + "_profile";
-  {
-    std::ofstream os(dir / (stem + ".json"));
-    if (!os) {
-      std::cerr << "[profile] cannot write " << (dir / (stem + ".json"))
-                << '\n';
-      return;
-    }
-    profiler.WriteJson(os);
-  }
-  {
-    std::ofstream os(dir / (stem + ".collapsed"));
-    profiler.WriteCollapsed(os);
-  }
-  {
-    std::ofstream os(dir / (stem + ".prom"));
-    profiler.WriteText(os);
-  }
-  {
-    std::ofstream os(dir / (stem + ".trace.json"));
-    WriteProfileChromeTrace(os, profiler, abbr + "/" + config);
-  }
-  std::cerr << "[profile] " << abbr << '/' << config << ": "
-            << profiler.events().size() << " spans ("
-            << profiler.dropped_events() << " dropped) -> "
-            << (dir / stem).string() << ".{json,collapsed,prom,trace.json}"
-            << '\n';
-}
-
 }  // namespace
 
 RunResult SimulateUncached(const std::string& abbr, const std::string& config,
@@ -326,14 +285,7 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
     gpu.SetTimeline(&timeline);
   }
 
-  // Observability hooks. The phase profiler is per-cell (the Profiler is
-  // single-threaded by design), so profiling stays safe at any job
-  // count; neither hook changes simulation results.
-  std::unique_ptr<obs::Profiler> phase_profiler;
-  if (ProfileEnabled()) {
-    phase_profiler = std::make_unique<obs::Profiler>();
-    gpu.SetProfiler(phase_profiler.get());
-  }
+  // Progress heartbeat: observational, never changes simulation results.
   std::unique_ptr<obs::ProgressMeter> progress;
   if (const std::uint64_t interval = ProgressInterval(); interval > 0) {
     progress = std::make_unique<obs::ProgressMeter>(interval,
@@ -392,9 +344,6 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
 
   if (tracing) {
     ExportTrace(abbr, config, scale, cfg, result.metrics, timeline, sink);
-  }
-  if (phase_profiler != nullptr) {
-    ExportProfile(abbr, config, *phase_profiler);
   }
   return result;
 }

@@ -30,7 +30,8 @@
 //                       per cell (see CachePathFor)
 //   DLPSIM_NOCACHE    - set to disable the on-disk cache entirely
 //   DLPSIM_TIMING_DIR - where TimingScope writes <bench>_timing.json
-//                       (default ".")
+//                       and the fault, watchdog and metrics artifacts go
+//                       (default: timing/ under the build tree)
 //   DLPSIM_TRACE      - set to 1 to trace every simulated run: a JSON
 //                       run report, a Chrome trace-event file (Perfetto /
 //                       chrome://tracing) and a timeline CSV are written
@@ -83,14 +84,6 @@
 //                       value >= 2 sets the interval in core cycles.
 //                       The last line is copied into the watchdog's
 //                       StallDiagnostic when a run stalls.
-//   DLPSIM_PROFILE    - set to 1 to attach an obs::Profiler phase
-//                       profiler to every simulated cell and write
-//                       <app>_<config>_profile.{json,collapsed,prom,
-//                       trace.json} into DLPSIM_TIMING_DIR: per-phase
-//                       call counts and self/total wall time, a
-//                       flamegraph collapsed-stack file, and a Chrome
-//                       trace of the retained spans. Wall-clock times
-//                       never enter the deterministic metrics dump.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "obs/profiler.h"
 #include "obs/trace_sink.h"
 
 namespace dlpsim {
@@ -37,7 +36,6 @@ L1DCache::L1DCache(const L1DConfig& cfg)
 
 void L1DCache::CommitQuery(std::uint32_t set, Cycle now) {
   ++stats_.accesses;
-  obs::ProfileSpan span(profiler_, obs::Phase::kPolicyUpdate);
   policy_->OnSetQuery(tda_.SetView(set));
   policy_->OnAccessSampled(now);
 }
@@ -109,7 +107,6 @@ void L1DCache::InjectProtectedLifeFlip(std::uint32_t set, std::uint32_t way,
 }
 
 AccessResult L1DCache::Access(const MemAccess& access, Cycle now) {
-  obs::ProfileSpan span(profiler_, obs::Phase::kCacheAccess);
   if (now < fault_blackout_until_) {
     // Injected controller blackout: behave exactly like a reservation
     // failure so the LD/ST unit retries next cycle.

@@ -31,10 +31,6 @@ namespace dlpsim {
 
 class TraceSink;
 
-namespace obs {
-class Profiler;
-}  // namespace obs
-
 enum class AccessResult : std::uint8_t {
   kHit,
   kMissIssued,
@@ -149,12 +145,6 @@ class L1DCache {
   void SetTraceSink(TraceSink* sink, std::uint32_t sm_id = 0);
   TraceSink* trace_sink() const { return trace_; }
 
-  /// Optional phase profiler (obs/). Spans wrap each access and its
-  /// policy bookkeeping; nullptr (the default) keeps the hot path at one
-  /// predictable branch per access. Purely observational wall-time
-  /// telemetry -- attaching never changes simulation results.
-  void SetProfiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
  private:
   AccessResult AccessLoad(const MemAccess& access, std::uint32_t set,
                           Addr block, Cycle now);
@@ -183,7 +173,6 @@ class L1DCache {
   obs::Histogram mshr_occupancy_{kMshrOccupancyBounds};
   AccessObserver* observer_ = nullptr;
   TraceSink* trace_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   std::uint16_t sm_ = 0;
   Cycle fault_blackout_until_ = 0;  // robust/: accesses fail before this
 };

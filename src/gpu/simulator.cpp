@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/trace_sink.h"
 #include "robust/fault.h"
@@ -71,11 +70,6 @@ void GpuSimulator::SetTimeline(TimelineSampler* sampler) {
   timeline_ = sampler;
 }
 
-void GpuSimulator::SetProfiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  for (SmCore& core : cores_) core.l1d().SetProfiler(profiler);
-}
-
 PolicySnapshot GpuSimulator::SnapshotPolicy() const {
   PolicySnapshot snap;
   std::uint32_t cores_with_pdpt = 0;
@@ -101,14 +95,11 @@ PolicySnapshot GpuSimulator::SnapshotPolicy() const {
 void GpuSimulator::Step() {
   for (std::uint32_t domain : clocks_.Tick()) {
     if (domain == mem_domain_) {
-      obs::ProfileSpan span(profiler_, obs::Phase::kMemTick);
       const Cycle now = clocks_.cycles(mem_domain_);
       for (MemoryPartition& p : partitions_) p.Tick(now, icnt_);
     } else if (domain == icnt_domain_) {
-      obs::ProfileSpan span(profiler_, obs::Phase::kIcntTick);
       icnt_.Tick(clocks_.cycles(icnt_domain_));
     } else if (domain == core_domain_) {
-      obs::ProfileSpan span(profiler_, obs::Phase::kCoreTick);
       const Cycle now = clocks_.cycles(core_domain_);
       // Injected faults land on the core clock edge, before the cores
       // tick, so "at cycle X" means "visible to cycle X's accesses".
@@ -131,7 +122,6 @@ void GpuSimulator::Step() {
         }
       }
       if (timeline_ != nullptr && timeline_->Due(now)) {
-        obs::ProfileSpan snap(profiler_, obs::Phase::kSnapshot);
         timeline_->Record(now, Collect(), SnapshotPolicy());
       }
       if (progress_ != nullptr && progress_->Due(now)) {
@@ -196,14 +186,8 @@ bool GpuSimulator::Done() const {
 }
 
 Metrics GpuSimulator::Run() {
-  obs::ProfileSpan run_span(profiler_, obs::Phase::kRun);
   for (;;) {
-    bool done;
-    {
-      obs::ProfileSpan drain_span(profiler_, obs::Phase::kDrainCheck);
-      done = Done();
-    }
-    if (done || clocks_.cycles(core_domain_) >= cfg_.max_core_cycles ||
+    if (Done() || clocks_.cycles(core_domain_) >= cfg_.max_core_cycles ||
         run_error_ != robust::RunError::kNone) {
       break;
     }

@@ -23,7 +23,6 @@ namespace dlpsim {
 class TraceSink;
 
 namespace obs {
-class Profiler;
 class ProgressMeter;
 }  // namespace obs
 
@@ -61,12 +60,6 @@ class GpuSimulator {
   /// cycles (and once at the end of Run) the cumulative Metrics and a
   /// PolicySnapshot are recorded. Pass nullptr to detach.
   void SetTimeline(TimelineSampler* sampler);
-
-  /// Attaches a phase profiler (obs/) to the hot loop and to every SM's
-  /// L1D: Run/Step wrap the clock-domain bodies, the drain check and
-  /// timeline snapshots in wall-time spans. Purely observational; pass
-  /// nullptr to detach (the default costs one branch per domain event).
-  void SetProfiler(obs::Profiler* profiler);
 
   /// Attaches a progress heartbeat meter, sampled on the core clock edge
   /// like the timeline. Pass nullptr to detach. On a watchdog trip the
@@ -149,10 +142,9 @@ class GpuSimulator {
   std::uint32_t icnt_domain_ = 0;
   std::uint32_t mem_domain_ = 0;
   TimelineSampler* timeline_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   obs::ProgressMeter* progress_ = nullptr;
-  // Resilience layer (all optional; every hook costs one null check when
-  // detached, preserving bit-identical results).
+  // Resilience layer (all optional). A detached hook leaves results
+  // bit-identical.
   robust::FaultInjector* faults_ = nullptr;
   robust::Watchdog* watchdog_ = nullptr;
   robust::InvariantChecker* checker_ = nullptr;

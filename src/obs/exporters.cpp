@@ -5,7 +5,6 @@
 #include "core/l1d_cache.h"
 #include "core/pdpt.h"
 #include "obs/json.h"
-#include "obs/profiler.h"
 
 namespace dlpsim {
 
@@ -268,49 +267,6 @@ void WriteTimelineCsv(std::ostream& os, const TimelineSampler& timeline) {
     for (const std::uint64_t n : s.policy.pl_histogram) os << ',' << n;
     os << '\n';
   }
-}
-
-void WriteProfileChromeTrace(std::ostream& os, const obs::Profiler& profiler,
-                             const std::string& label) {
-  JsonWriter w(os);
-  w.BeginObject();
-  w.KV("displayTimeUnit", "ms");
-  w.Key("otherData").BeginObject();
-  w.KV("generator", "dlpsim");
-  w.KV("dropped_events", profiler.dropped_events());
-  w.EndObject();
-  w.Key("traceEvents").BeginArray();
-
-  w.BeginObject();
-  w.KV("name", "process_name");
-  w.KV("ph", "M");
-  w.KV("pid", 0);
-  w.KV("tid", 0);
-  w.Key("args")
-      .BeginObject()
-      .KV("name", label.empty() ? std::string("dlpsim phases")
-                                : "dlpsim phases " + label)
-      .EndObject();
-  w.EndObject();
-
-  // One "thread" per span depth keeps nested spans on separate tracks
-  // (Perfetto stacks same-tid complete events, but depth tracks read
-  // better for a fixed 3-deep phase hierarchy).
-  for (const obs::SpanEvent& e : profiler.events()) {
-    w.BeginObject();
-    w.KV("name", obs::ToString(e.phase));
-    w.KV("cat", "phase");
-    w.KV("ph", "X");
-    w.KV("ts", e.start_seconds * 1e6);
-    w.KV("dur", e.dur_seconds * 1e6);
-    w.KV("pid", 0);
-    w.KV("tid", e.depth);
-    w.EndObject();
-  }
-
-  w.EndArray();
-  w.EndObject();
-  os << '\n';
 }
 
 }  // namespace dlpsim

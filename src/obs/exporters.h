@@ -11,10 +11,6 @@
 //                      lines, per-interval hits and bypasses).
 //   WriteTimelineCsv - the timeline as CSV, one row per sample: cycle,
 //                      every Metrics delta column, and the policy state.
-//   WriteProfileChromeTrace - an obs::Profiler's span buffer as Chrome
-//                      trace-event "X" (complete) events, so a profiled
-//                      run's phase timeline opens in Perfetto next to
-//                      the simulation traces.
 //
 // String handling: every string that reaches a JSON document here flows
 // through JsonWriter, which escapes quotes, backslashes and control
@@ -33,10 +29,6 @@
 
 namespace dlpsim {
 
-namespace obs {
-class Profiler;
-}  // namespace obs
-
 /// Identity of the run being reported.
 struct RunReportInfo {
   std::string app;     // workload abbreviation ("BFS"), may be empty
@@ -54,12 +46,5 @@ void WriteChromeTrace(std::ostream& os, const TraceSink& trace,
                       std::uint32_t num_sms = 0);
 
 void WriteTimelineCsv(std::ostream& os, const TimelineSampler& timeline);
-
-/// Renders a phase profiler's retained span events (obs/profiler.h) as
-/// Chrome trace-event complete ("X") events on the wall-clock microsecond
-/// axis, one track per span depth. `label` names the process track (the
-/// app/config stem, may be empty).
-void WriteProfileChromeTrace(std::ostream& os, const obs::Profiler& profiler,
-                             const std::string& label = "");
 
 }  // namespace dlpsim

@@ -13,15 +13,23 @@
 // which rewrites the snapshot in the source tree (commit the diff).
 // On failure the test prints a per-cell readable diff including the
 // derived IPC / hit-rate movement.
+//
+// At scale 0.02 no cache-insufficient app decays a single protected
+// life, so that snapshot cannot tell DLP from a DLP that never protects.
+// A separate liveness test runs those apps at scale 0.1, where DLP's
+// protection shows in every one of them.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "exec/run_grid.h"
+#include "gpu/simulator.h"
 #include "harness.h"
 #include "verify/golden.h"
+#include "workloads/registry.h"
 
 #ifndef DLPSIM_GOLDEN_DIR
 #error "DLPSIM_GOLDEN_DIR must point at the source tests/golden directory"
@@ -95,6 +103,29 @@ TEST(GoldenFigures, SnapshotCoversTheFullGrid) {
   ASSERT_TRUE(verify::LoadGoldenFile(GoldenPath(), &want, &error)) << error;
   const std::size_t expected = AllAppAbbrs().size() * kConfigs.size();
   EXPECT_EQ(want.entries.size(), expected);
+}
+
+TEST(GoldenFigures, DlpProtectionIsLiveOnEveryCiApp) {
+  constexpr double kLiveScale = 0.1;
+  struct Cell {
+    std::string metrics;
+    std::uint64_t pl_decrements = 0;
+  };
+  const auto simulate = [](const std::string& app, const std::string& config) {
+    Workload wl = MakeWorkload(app, kLiveScale);
+    GpuSimulator gpu(ConfigFor(config), wl.program.get(), wl.warps_per_sm);
+    Cell cell;
+    cell.metrics = gpu.Run().ToText();
+    cell.pl_decrements = gpu.CounterTable().CounterValue("cache",
+                                                         "pl_decrements");
+    return cell;
+  };
+  for (const std::string& app : CiAppAbbrs()) {
+    const Cell gp = simulate(app, "gp");
+    const Cell dlp = simulate(app, "dlp");
+    EXPECT_GT(dlp.pl_decrements, 0u) << app << ": dlp never decayed a PL";
+    EXPECT_TRUE(dlp.metrics != gp.metrics) << app << ": dlp ran exactly as gp";
+  }
 }
 
 }  // namespace
