@@ -22,7 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/timeline.h"
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 #include "robust/fault.h"
 #include "robust/watchdog.h"
 #include "sim/env.h"
@@ -39,7 +39,7 @@ constexpr const char* kCacheFooter = "#complete";
 
 std::string CacheDir() { return env::Str("DLPSIM_CACHE_DIR", ".dlpsim_cache"); }
 
-bool TraceEnabled() { return env::Flag("DLPSIM_TRACE"); }
+bool EventsEnabled() { return env::Flag("DLPSIM_EVENTS"); }
 
 const char* FaultSpec() {
   const char* spec = env::Raw("DLPSIM_FAULTS");
@@ -53,18 +53,14 @@ bool FaultsEnabled() { return FaultSpec() != nullptr; }
 
 bool MetricsDumpEnabled() { return env::Flag("DLPSIM_METRICS"); }
 
-// Tracing and the metrics dump imply no result cache: a cache hit would
-// skip the simulation and produce no trace and no counters. Fault
+// Event recording and the metrics dump imply no result cache: a cache hit
+// would skip the simulation and produce no events and no counters. Fault
 // injection also disables it both ways -- faulty results must never
 // poison the shared cache, and a clean cached result must never stand in
 // for the faulty run under test.
 bool CacheEnabled() {
-  return !env::IsSet("DLPSIM_NOCACHE") && !TraceEnabled() &&
+  return !env::IsSet("DLPSIM_NOCACHE") && !EventsEnabled() &&
          !FaultsEnabled() && !MetricsDumpEnabled();
-}
-
-std::string TraceOutDir() {
-  return env::Str("DLPSIM_TRACE_OUT", "dlpsim_trace");
 }
 
 // Timing artifacts default under the build tree (DLPSIM_DEFAULT_TIMING_DIR
@@ -198,18 +194,18 @@ std::string KeyFor(const std::string& abbr, const std::string& config,
   return os.str();
 }
 
-/// Writes the JSON report, Chrome trace and timeline CSV for one traced
-/// run into DLPSIM_TRACE_OUT. Failures are reported on stderr and never
-/// affect the run's results.
-void ExportTrace(const std::string& abbr, const std::string& config,
-                 double scale, const SimConfig& cfg, const Metrics& metrics,
-                 const TimelineSampler& timeline, const TraceSink& sink) {
+/// Writes the JSON report, Chrome trace and timeline CSV for one run with
+/// events recorded into DLPSIM_TIMING_DIR. Failures are reported on
+/// stderr and never affect the run's results.
+void ExportEvents(const std::string& abbr, const std::string& config,
+                  double scale, const SimConfig& cfg, const Metrics& metrics,
+                  const TimelineSampler& timeline, const EventSink& sink) {
   namespace fs = std::filesystem;
-  const fs::path dir = TraceOutDir();
+  const fs::path dir = TimingDir();
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
-    std::cerr << "[trace] cannot create " << dir << ": " << ec.message()
+    std::cerr << "[events] cannot create " << dir << ": " << ec.message()
               << '\n';
     return;
   }
@@ -231,7 +227,7 @@ void ExportTrace(const std::string& abbr, const std::string& config,
     std::ofstream os(csv);
     WriteTimelineCsv(os, timeline);
   }
-  std::cerr << "[trace] " << stem << ": " << sink.size() << " events ("
+  std::cerr << "[events] " << stem << ": " << sink.size() << " events ("
             << sink.dropped() << " dropped) -> " << report.string() << ", "
             << chrome.string() << ", " << csv.string() << '\n';
 }
@@ -277,23 +273,28 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
   PerSmProfiler profiler(cfg.num_cores, cfg.l1d.geom.sets);
   profiler.AttachTo(gpu);
 
-  const bool tracing = TraceEnabled();
-  TraceSink sink(env::U64("DLPSIM_TRACE_EVENTS", 1u << 20));
-  TimelineSampler timeline(env::U64("DLPSIM_TRACE_INTERVAL", 5000));
-  if (tracing) {
-    gpu.SetTraceSink(&sink);
-    gpu.SetTimeline(&timeline);
+  // Built only when recording: the default ring alone is 56 MiB.
+  std::unique_ptr<EventSink> sink;
+  std::unique_ptr<TimelineSampler> timeline;
+  if (EventsEnabled()) {
+    sink = std::make_unique<EventSink>(
+        env::U64("DLPSIM_EVENTS_CAPACITY", 1u << 20));
+    timeline = std::make_unique<TimelineSampler>(
+        env::U64("DLPSIM_EVENTS_INTERVAL", 5000));
+    gpu.SetEventSink(sink.get());
+    gpu.Attach(timeline.get());
   }
 
   // Progress heartbeat: observational, never changes simulation results.
+  // Attached before the watchdog, which quotes its latest line.
   std::unique_ptr<obs::ProgressMeter> progress;
   if (const std::uint64_t interval = ProgressInterval(); interval > 0) {
     progress = std::make_unique<obs::ProgressMeter>(interval,
                                                     abbr + "/" + config);
-    gpu.SetProgress(progress.get());
+    gpu.Attach(progress.get());
   }
 
-  // Resilience hooks (both off by default, so un-faulted runs stay
+  // Resilience observers (both off by default, so un-faulted runs stay
   // byte-identical to earlier releases). DLPSIM_FAULTS selects a seeded
   // fault plan; DLPSIM_WATCHDOG=<cycles> arms the forward-progress
   // watchdog with that stall threshold.
@@ -305,14 +306,15 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
       throw std::invalid_argument("DLPSIM_FAULTS: " + err);
     }
     injector = std::make_unique<robust::FaultInjector>(plan);
-    gpu.SetFaultInjector(injector.get());
+    gpu.Attach(injector.get());
   }
   std::unique_ptr<robust::Watchdog> watchdog;
   if (const std::uint64_t stall = env::U64("DLPSIM_WATCHDOG", 0); stall > 0) {
     watchdog = std::make_unique<robust::Watchdog>(
         robust::WatchdogConfig{/*check_interval=*/1024,
-                               /*stall_cycles=*/stall});
-    gpu.SetWatchdog(watchdog.get());
+                               /*stall_cycles=*/stall},
+        progress.get());
+    gpu.Attach(watchdog.get());
   }
 
   RunResult result;
@@ -342,8 +344,8 @@ RunResult SimulateUncached(const std::string& abbr, const std::string& config,
     totals.table.Merge(counters);
   }
 
-  if (tracing) {
-    ExportTrace(abbr, config, scale, cfg, result.metrics, timeline, sink);
+  if (sink != nullptr) {
+    ExportEvents(abbr, config, scale, cfg, result.metrics, *timeline, *sink);
   }
   return result;
 }
@@ -433,8 +435,8 @@ TimingScope::~TimingScope() {
     return;
   }
   // Mirror RunGrid's worker-count resolution so the report names the
-  // job count actually used (tracing forces serial).
-  const std::size_t jobs = TraceEnabled() ? 1 : exec::DefaultJobs();
+  // job count actually used (event recording forces serial).
+  const std::size_t jobs = EventsEnabled() ? 1 : exec::DefaultJobs();
   Timing().WriteJson(os, name_, jobs, Scale());
 
   // DLPSIM_METRICS: dump the summed counter tables of every simulated
@@ -573,10 +575,10 @@ std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
                                const std::vector<std::string>& configs,
                                double scale, std::size_t jobs) {
   if (jobs == 0) jobs = exec::DefaultJobs();
-  // Each simulated run owns a private trace sink/timeline, so tracing is
-  // safe at any job count; serial keeps the [trace] log and the export
-  // order deterministic.
-  if (TraceEnabled()) jobs = 1;
+  // Each simulated run owns a private event sink/timeline, so recording
+  // is safe at any job count; serial keeps the [events] log and the
+  // export order deterministic.
+  if (EventsEnabled()) jobs = 1;
   const std::vector<exec::Job> grid = exec::Grid(apps, configs);
 
   // Resilient execution: a cell that throws (bad workload, watchdog trip,

@@ -30,21 +30,19 @@
 //                       per cell (see CachePathFor)
 //   DLPSIM_NOCACHE    - set to disable the on-disk cache entirely
 //   DLPSIM_TIMING_DIR - where TimingScope writes <bench>_timing.json
-//                       and the fault, watchdog and metrics artifacts go
+//                       and the event, fault, watchdog and metrics
+//                       artifacts go
 //                       (default: timing/ under the build tree)
-//   DLPSIM_TRACE      - set to 1 to trace every simulated run: a JSON
-//                       run report, a Chrome trace-event file (Perfetto /
-//                       chrome://tracing) and a timeline CSV are written
-//                       per (app, config). Implies DLPSIM_NOCACHE so
-//                       every run actually simulates, and forces
-//                       RunGrid to jobs=1 (each run owns a private sink
-//                       either way; serial keeps the [trace] log and the
-//                       export order deterministic). Tracing never
-//                       changes simulation results or the printed tables.
-//   DLPSIM_TRACE_OUT  - trace output directory (default ./dlpsim_trace)
-//   DLPSIM_TRACE_EVENTS   - trace ring-buffer capacity (default 1048576)
-//   DLPSIM_TRACE_INTERVAL - timeline sample interval in core cycles
-//                           (default 5000)
+//   DLPSIM_EVENTS     - set to 1 to record the event ring and timeline
+//                       of every simulated run: a JSON run report, a
+//                       Chrome trace-event file and a timeline CSV per
+//                       (app, config) into DLPSIM_TIMING_DIR. Implies
+//                       DLPSIM_NOCACHE and forces RunGrid to jobs=1
+//                       (serial keeps the [events] log and the export
+//                       order deterministic). Never changes results.
+//   DLPSIM_EVENTS_CAPACITY - event ring capacity (default 1048576)
+//   DLPSIM_EVENTS_INTERVAL - timeline sample interval in core cycles
+//                            (default 5000)
 //   DLPSIM_FAULTS     - fault-injection spec (see robust/fault.h), e.g.
 //                       "1" for the default plan or
 //                       "seed=7,count=16,horizon=300000,stall=500,
@@ -145,7 +143,7 @@ RunResult Run(const std::string& abbr, const std::string& config,
 /// Runs the whole (apps x configs) grid through the parallel executor
 /// and returns results in app-major grid order: cell (a, c) at index
 /// a * configs.size() + c. jobs == 0 resolves DLPSIM_JOBS (default:
-/// hardware concurrency); DLPSIM_TRACE forces jobs = 1.
+/// hardware concurrency); DLPSIM_EVENTS forces jobs = 1.
 ///
 /// Resilient: a throwing or timed-out cell is retried once and, if it
 /// still fails, recorded as a failed cell in <bench>_timing.json (and in

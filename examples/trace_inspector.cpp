@@ -1,4 +1,4 @@
-// Trace inspector: run one workload under DLP with full tracing and
+// Trace inspector: run one workload under DLP with every event recorded and
 // print what the protection controller actually did over time.
 //
 //   ./trace_inspector [APP] [SCALE] [OUT_DIR]
@@ -22,7 +22,7 @@
 #include "gpu/simulator.h"
 #include "obs/exporters.h"
 #include "obs/timeline.h"
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 #include "sim/config.h"
 #include "workloads/registry.h"
 
@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
   const SimConfig cfg = SimConfig::WithPolicy(PolicyKind::kDlp);
 
   GpuSimulator gpu(cfg, wl.program.get(), wl.warps_per_sm);
-  TraceSink sink(1u << 20);
+  EventSink sink(1u << 20);
   TimelineSampler timeline(2000);
-  gpu.SetTraceSink(&sink);
-  gpu.SetTimeline(&timeline);
+  gpu.SetEventSink(&sink);
+  gpu.Attach(&timeline);
 
   const Metrics m = gpu.Run();
 
@@ -65,23 +65,23 @@ int main(int argc, char** argv) {
   std::cout << m.core_cycles << " core cycles, IPC " << Fmt(m.ipc())
             << ", hit rate " << Pct(m.l1d_hit_rate()) << ", "
             << m.l1d_bypasses << " bypasses\n";
-  std::cout << sink.total_emitted() << " trace events ("
+  std::cout << sink.total_emitted() << " events ("
             << sink.dropped() << " dropped by the ring buffer)\n\n";
 
   // --- per-sample-window controller activity, SM0 ---
   std::cout << "PDPT sample windows (SM0):\n";
   TextTable windows({"window", "end cycle", "TDA hits", "VTA hits", "path",
                      "mean PD", "bypasses", "PL sat"});
-  const std::vector<TraceEvent> events = sink.InOrder();
+  const std::vector<Event> events = sink.InOrder();
   Cycle window_start = 0;
   std::uint32_t index = 0;
   std::uint64_t bypasses_in_window = 0;
   std::uint64_t saturations_in_window = 0;
-  for (const TraceEvent& e : events) {
+  for (const Event& e : events) {
     if (e.sm != 0) continue;
-    if (e.kind == TraceEventKind::kBypass) ++bypasses_in_window;
-    if (e.kind == TraceEventKind::kPlSaturated) ++saturations_in_window;
-    if (e.kind != TraceEventKind::kPdSample) continue;
+    if (e.kind == EventKind::kBypass) ++bypasses_in_window;
+    if (e.kind == EventKind::kPlSaturated) ++saturations_in_window;
+    if (e.kind != EventKind::kPdSample) continue;
     windows.AddRow({std::to_string(index++), std::to_string(e.cycle),
                     std::to_string(e.block), std::to_string(e.pc),
                     PathName(e.arg2),

@@ -26,11 +26,6 @@ struct CacheStats {
   /// counts accesses that enter the L1D, i.e. everything except bypassed
   /// and stalled retries).
   std::uint64_t serviced() const { return accesses - bypasses; }
-
-  double load_hit_rate() const {
-    const std::uint64_t total = load_hits + load_misses;
-    return total == 0 ? 0.0 : static_cast<double>(load_hits) / total;
-  }
 };
 
 /// Name + member-pointer pair for one CacheStats counter.

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 
 namespace dlpsim {
 
@@ -34,27 +34,29 @@ L1DCache::L1DCache(const L1DConfig& cfg)
   policy_->SetPlCounters(&pl_counters_);
 }
 
-void L1DCache::CommitQuery(std::uint32_t set, Cycle now) {
+void L1DCache::CommitQuery(std::uint32_t set, Addr block, Pc pc,
+                           AccessType type, bool hit, Cycle now) {
+  if (observer_ != nullptr) observer_->OnAccess(set, block, pc, type, hit);
   ++stats_.accesses;
   policy_->OnSetQuery(tda_.SetView(set));
   policy_->OnAccessSampled(now);
 }
 
-void L1DCache::SetTraceSink(TraceSink* sink, std::uint32_t sm_id) {
-  trace_ = sink;
+void L1DCache::SetEventSink(EventSink* sink, std::uint32_t sm_id) {
+  events_ = sink;
   sm_ = static_cast<std::uint16_t>(sm_id);
-  policy_->SetTrace(sink, sm_);
+  policy_->SetEventSink(sink, sm_);
 }
 
-void L1DCache::TraceBypass(std::uint32_t set, Addr block, Pc pc,
-                           BypassReason reason) {
-  if (trace_ == nullptr) return;
-  trace_->Emit({.arg0 = static_cast<std::uint64_t>(reason),
-                .block = block,
-                .pc = pc,
-                .set = set,
-                .sm = sm_,
-                .kind = TraceEventKind::kBypass});
+void L1DCache::EmitBypass(std::uint32_t set, Addr block, Pc pc,
+                          BypassReason reason) {
+  if (events_ == nullptr) return;
+  events_->Emit({.arg0 = static_cast<std::uint64_t>(reason),
+                 .block = block,
+                 .pc = pc,
+                 .set = set,
+                 .sm = sm_,
+                 .kind = EventKind::kBypass});
 }
 
 void L1DCache::PushOutgoing(L1DOutgoing req) {
@@ -75,13 +77,13 @@ void L1DCache::EvictFor(std::uint32_t set, std::uint32_t way, Addr new_block,
   if (!IsFilled(previous.state)) return;
   ++stats_.evictions;
   policy_->OnEviction(set, previous);
-  if (trace_ != nullptr) {
-    trace_->Emit({.arg0 = previous.state == LineState::kModified ? 1u : 0u,
-                  .block = previous.block,
-                  .pc = previous.src_pc,
-                  .set = set,
-                  .sm = sm_,
-                  .kind = TraceEventKind::kEviction});
+  if (events_ != nullptr) {
+    events_->Emit({.arg0 = previous.state == LineState::kModified ? 1u : 0u,
+                   .block = previous.block,
+                   .pc = previous.src_pc,
+                   .set = set,
+                   .sm = sm_,
+                   .kind = EventKind::kEviction});
   }
   if (previous.state == LineState::kModified) {
     ++stats_.writebacks;
@@ -115,17 +117,17 @@ AccessResult L1DCache::Access(const MemAccess& access, Cycle now) {
   }
   const Addr block = tda_.BlockOf(access.addr);
   const std::uint32_t set = tda_.SetOfBlock(block);
-  if (trace_ != nullptr) trace_->SetNow(now);
+  if (events_ != nullptr) events_->SetNow(now);
   const AccessResult result = access.type == AccessType::kLoad
                                   ? AccessLoad(access, set, block, now)
                                   : AccessStore(access, set, block, now);
-  if (trace_ != nullptr) {
-    trace_->Emit({.arg0 = static_cast<std::uint64_t>(result),
-                  .block = block,
-                  .pc = access.pc,
-                  .set = set,
-                  .sm = sm_,
-                  .kind = TraceEventKind::kAccess});
+  if (events_ != nullptr) {
+    events_->Emit({.arg0 = static_cast<std::uint64_t>(result),
+                   .block = block,
+                   .pc = access.pc,
+                   .set = set,
+                   .sm = sm_,
+                   .kind = EventKind::kAccess});
   }
   return result;
 }
@@ -136,10 +138,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
 
   // --- filled-line hit ---
   if (way != kInvalidIndex && IsFilled(tda_.At(set, way).state)) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kLoad, true);
-    }
-    CommitQuery(set, now);
+    CommitQuery(set, block, access.pc, AccessType::kLoad, true, now);
     policy_->OnLoadHit(tda_.At(set, way), access.pc);
     tda_.Touch(set, way);
     ++stats_.loads;
@@ -151,10 +150,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
   if (way != kInvalidIndex) {
     assert(tda_.At(set, way).state == LineState::kReserved);
     if (mshr_.CanMerge(block)) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
       policy_->OnMergedMiss(tda_.At(set, way), access.pc);
       mshr_.Merge(block, access.token);
       ++stats_.loads;
@@ -164,10 +160,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
     }
     // Unmergeable (entry at its merge limit): resource stall.
     if (policy_->BypassOnResourceStall() && !OutgoingFull()) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
       policy_->OnLoadMiss(set, block, access.pc);
       ++stats_.loads;
       ++stats_.load_misses;
@@ -178,7 +171,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
                                .pc = access.pc,
                                .token = access.token,
                                .payload_bytes = 0});
-      TraceBypass(set, block, access.pc, BypassReason::kResourceStall);
+      EmitBypass(set, block, access.pc, BypassReason::kResourceStall);
       return AccessResult::kBypassed;
     }
     ++stats_.reservation_fails;
@@ -199,10 +192,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
         mshr_.CanAllocate() &&
         outgoing_.size() + slots_needed <= cfg_.miss_queue_entries;
     if (has_resources) {
-      if (observer_ != nullptr) {
-        observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-      }
-      CommitQuery(set, now);
+      CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
       policy_->OnLoadMiss(set, block, access.pc);
       EvictFor(set, choice.way, block, access.pc);
       policy_->OnReserve(tda_.At(set, choice.way), access.pc);
@@ -225,10 +215,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
   }
 
   if (choice.kind == VictimChoice::Kind::kBypass && !OutgoingFull()) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kLoad, false);
-    }
-    CommitQuery(set, now);
+    CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
     policy_->OnLoadMiss(set, block, access.pc);
     ++stats_.loads;
     ++stats_.load_misses;
@@ -239,9 +226,9 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
                              .pc = access.pc,
                              .token = access.token,
                              .payload_bytes = 0});
-    TraceBypass(set, block, access.pc,
-                resource_bypass ? BypassReason::kResourceStall
-                                : BypassReason::kNoVictim);
+    EmitBypass(set, block, access.pc,
+               resource_bypass ? BypassReason::kResourceStall
+                               : BypassReason::kNoVictim);
     return AccessResult::kBypassed;
   }
 
@@ -255,10 +242,7 @@ AccessResult L1DCache::AccessStore(const MemAccess& access, std::uint32_t set,
   const bool hit = way != kInvalidIndex && IsFilled(tda_.At(set, way).state);
 
   if (hit && cfg_.write_policy == WritePolicy::kWriteBackOnHit) {
-    if (observer_ != nullptr) {
-      observer_->OnAccess(set, block, access.pc, AccessType::kStore, true);
-    }
-    CommitQuery(set, now);
+    CommitQuery(set, block, access.pc, AccessType::kStore, true, now);
     tda_.At(set, way).state = LineState::kModified;
     tda_.Touch(set, way);
     ++stats_.stores;
@@ -272,10 +256,7 @@ AccessResult L1DCache::AccessStore(const MemAccess& access, std::uint32_t set,
     ++stats_.reservation_fails;
     return AccessResult::kReservationFail;
   }
-  if (observer_ != nullptr) {
-    observer_->OnAccess(set, block, access.pc, AccessType::kStore, hit);
-  }
-  CommitQuery(set, now);
+  CommitQuery(set, block, access.pc, AccessType::kStore, hit, now);
   ++stats_.stores;
   if (hit) {
     // Write-evict (Fermi global stores): invalidate the cached copy.
@@ -303,12 +284,12 @@ void L1DCache::Fill(const L1DResponse& response, Cycle now,
   assert(filled && "fill for a block that is not reserved");
   (void)filled;
   ++stats_.fills;
-  if (trace_ != nullptr) {
-    trace_->SetNow(now);
-    trace_->Emit({.block = response.block,
-                  .set = set,
-                  .sm = sm_,
-                  .kind = TraceEventKind::kFill});
+  if (events_ != nullptr) {
+    events_->SetNow(now);
+    events_->Emit({.block = response.block,
+                   .set = set,
+                   .sm = sm_,
+                   .kind = EventKind::kFill});
   }
   const std::span<const MshrToken> tokens = mshr_.Retire(response.block);
   woken.insert(woken.end(), tokens.begin(), tokens.end());

@@ -22,14 +22,14 @@
 #include "cache/tag_array.h"
 #include "core/policies.h"
 #include "obs/metrics.h"
-#include "obs/trace_event.h"
+#include "obs/event.h"
 #include "sim/config.h"
 #include "sim/ring_queue.h"
 #include "sim/types.h"
 
 namespace dlpsim {
 
-class TraceSink;
+class EventSink;
 
 enum class AccessResult : std::uint8_t {
   kHit,
@@ -138,12 +138,11 @@ class L1DCache {
   /// Optional pre-policy observer (reuse-distance profiling).
   void SetObserver(AccessObserver* observer) { observer_ = observer; }
 
-  /// Optional event tracing (obs/). `sm_id` tags every emitted event so
-  /// multi-core traces attribute records to their SM; the policy shares
+  /// Optional event recording (obs/). `sm_id` tags every emitted event so
+  /// multi-core records attribute events to their SM; the policy shares
   /// the sink. Pass nullptr to detach. When no sink is attached every
   /// hook costs one pointer comparison.
-  void SetTraceSink(TraceSink* sink, std::uint32_t sm_id = 0);
-  TraceSink* trace_sink() const { return trace_; }
+  void SetEventSink(EventSink* sink, std::uint32_t sm_id = 0);
 
  private:
   AccessResult AccessLoad(const MemAccess& access, std::uint32_t set,
@@ -151,14 +150,16 @@ class L1DCache {
   AccessResult AccessStore(const MemAccess& access, std::uint32_t set,
                            Addr block, Cycle now);
 
-  /// Commits the bookkeeping every completed access shares: set query
-  /// (PL decay), sampling tick, access counter.
-  void CommitQuery(std::uint32_t set, Cycle now);
+  /// Commits the bookkeeping every completed access shares: the access
+  /// observer (before any policy hook, with the probe's hit flag), set
+  /// query (PL decay), sampling tick, access counter.
+  void CommitQuery(std::uint32_t set, Addr block, Pc pc, AccessType type,
+                   bool hit, Cycle now);
 
   bool OutgoingFull() const { return outgoing_.size() >= cfg_.miss_queue_entries; }
   void PushOutgoing(L1DOutgoing req);
 
-  void TraceBypass(std::uint32_t set, Addr block, Pc pc, BypassReason reason);
+  void EmitBypass(std::uint32_t set, Addr block, Pc pc, BypassReason reason);
 
   /// Evicts (set, way) for reuse; updates stats/VTA/writeback traffic.
   void EvictFor(std::uint32_t set, std::uint32_t way, Addr new_block, Pc pc);
@@ -172,7 +173,7 @@ class L1DCache {
   CacheStats stats_;
   obs::Histogram mshr_occupancy_{kMshrOccupancyBounds};
   AccessObserver* observer_ = nullptr;
-  TraceSink* trace_ = nullptr;
+  EventSink* events_ = nullptr;
   std::uint16_t sm_ = 0;
   Cycle fault_blackout_until_ = 0;  // robust/: accesses fail before this
 };

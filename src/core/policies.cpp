@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 
 namespace dlpsim {
 
@@ -96,12 +96,12 @@ void ProtectedLifePolicy::StampOwnership(CacheLine& line, Pc pc) {
     // Stamped lines are occupied (filled on a hit, RESERVED otherwise).
     pl_counters_->Move(old_pl, line.protected_life);
   }
-  if (trace_ != nullptr && line.protected_life == pdpt_.pd_max()) {
-    trace_->Emit({.arg0 = id,
-                  .block = line.block,
-                  .pc = pc,
-                  .sm = trace_sm_,
-                  .kind = TraceEventKind::kPlSaturated});
+  if (events_ != nullptr && line.protected_life == pdpt_.pd_max()) {
+    events_->Emit({.arg0 = id,
+                   .block = line.block,
+                   .pc = pc,
+                   .sm = events_sm_,
+                   .kind = EventKind::kPlSaturated});
   }
 }
 
@@ -121,13 +121,13 @@ void ProtectedLifePolicy::OnLoadMiss(std::uint32_t set, Addr block, Pc pc) {
   if (!info.hit) return;
   pdpt_.CreditVtaHit(info.insn_id);
   ++stats_.vta_hits;
-  if (trace_ != nullptr) {
-    trace_->Emit({.arg0 = info.insn_id,
-                  .block = block,
-                  .pc = pc,
-                  .set = set,
-                  .sm = trace_sm_,
-                  .kind = TraceEventKind::kVtaHit});
+  if (events_ != nullptr) {
+    events_->Emit({.arg0 = info.insn_id,
+                   .block = block,
+                   .pc = pc,
+                   .set = set,
+                   .sm = events_sm_,
+                   .kind = EventKind::kVtaHit});
   }
 }
 
@@ -159,7 +159,7 @@ VictimChoice ProtectedLifePolicy::PickVictim(const TagArray& tda,
 void ProtectedLifePolicy::OnAccessSampled(Cycle now) {
   if (!window_.OnAccess(now)) return;
   ++stats_.pd_recomputes;
-  if (trace_ == nullptr) {
+  if (events_ == nullptr) {
     pdpt_.EndSample();
   } else {
     // mean PD x1000 keeps the event payload integral without losing the
@@ -171,13 +171,13 @@ void ProtectedLifePolicy::OnAccessSampled(Cycle now) {
     const std::uint64_t tda_hits = pdpt_.global_tda_hits();
     const std::uint64_t vta_hits = pdpt_.global_vta_hits();
     const PdpTable::UpdatePath path = pdpt_.EndSample();
-    trace_->Emit({.arg0 = before,
-                  .arg1 = mean_milli(),
-                  .arg2 = static_cast<std::uint64_t>(path),
-                  .block = tda_hits,
-                  .pc = static_cast<Pc>(vta_hits),
-                  .sm = trace_sm_,
-                  .kind = TraceEventKind::kPdSample});
+    events_->Emit({.arg0 = before,
+                   .arg1 = mean_milli(),
+                   .arg2 = static_cast<std::uint64_t>(path),
+                   .block = tda_hits,
+                   .pc = static_cast<Pc>(vta_hits),
+                   .sm = events_sm_,
+                   .kind = EventKind::kPdSample});
   }
   window_.Restart(now);
 }

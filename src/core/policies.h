@@ -28,7 +28,7 @@
 
 namespace dlpsim {
 
-class TraceSink;
+class EventSink;
 
 /// Protection-mechanism event counts of one DLP/GP policy. Pure
 /// telemetry, never read back into decisions. Like CacheStats they count
@@ -99,13 +99,13 @@ class ProtectionPolicy {
   /// Reset policy state between kernels.
   virtual void Reset();
 
-  /// Attaches (or detaches, with nullptr) the event-trace sink. Shared
-  /// with the owning L1DCache, which keeps the sink's cycle stamp
-  /// current; `sm` tags emitted events. Protection policies emit VTA-hit,
+  /// Attaches (or detaches, with nullptr) the event sink. Shared with
+  /// the owning L1DCache, which keeps the sink's cycle stamp current;
+  /// `sm` tags emitted events. Protection policies emit VTA-hit,
   /// PD-recompute and PL-saturation records through it.
-  void SetTrace(TraceSink* trace, std::uint16_t sm) {
-    trace_ = trace;
-    trace_sm_ = sm;
+  void SetEventSink(EventSink* sink, std::uint16_t sm) {
+    events_ = sink;
+    events_sm_ = sm;
   }
 
   /// Attaches (or detaches, with nullptr) the owning cache's incremental
@@ -126,8 +126,8 @@ class ProtectionPolicy {
   virtual VictimTagArray* mutable_vta() { return nullptr; }
 
  protected:
-  TraceSink* trace_ = nullptr;
-  std::uint16_t trace_sm_ = 0;
+  EventSink* events_ = nullptr;
+  std::uint16_t events_sm_ = 0;
   PlCounters* pl_counters_ = nullptr;
 };
 

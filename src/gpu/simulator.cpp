@@ -2,11 +2,8 @@
 
 #include <string>
 
-#include "obs/progress.h"
-#include "obs/trace_sink.h"
-#include "robust/fault.h"
+#include "obs/event_sink.h"
 #include "robust/invariants.h"
-#include "robust/watchdog.h"
 
 namespace dlpsim {
 
@@ -53,7 +50,7 @@ GpuSimulator::GpuSimulator(const SimConfig& cfg, const Program* program,
   // build); when enabled every simulator self-checks without callers
   // having to know the robust/ layer exists.
   owned_checker_ = robust::MakeCheckerFromEnv();
-  if (owned_checker_ != nullptr) checker_ = owned_checker_.get();
+  if (owned_checker_ != nullptr) Attach(owned_checker_.get());
 }
 
 GpuSimulator::~GpuSimulator() = default;
@@ -62,12 +59,12 @@ void GpuSimulator::AttachObserver(AccessObserver* observer) {
   for (SmCore& core : cores_) core.l1d().SetObserver(observer);
 }
 
-void GpuSimulator::SetTraceSink(TraceSink* sink) {
-  for (SmCore& core : cores_) core.l1d().SetTraceSink(sink, core.id());
+void GpuSimulator::Attach(SimObserver* observer) {
+  observers_.push_back(observer);
 }
 
-void GpuSimulator::SetTimeline(TimelineSampler* sampler) {
-  timeline_ = sampler;
+void GpuSimulator::SetEventSink(EventSink* sink) {
+  for (SmCore& core : cores_) core.l1d().SetEventSink(sink, core.id());
 }
 
 PolicySnapshot GpuSimulator::SnapshotPolicy() const {
@@ -101,10 +98,9 @@ void GpuSimulator::Step() {
       icnt_.Tick(clocks_.cycles(icnt_domain_));
     } else if (domain == core_domain_) {
       const Cycle now = clocks_.cycles(core_domain_);
-      // Injected faults land on the core clock edge, before the cores
-      // tick, so "at cycle X" means "visible to cycle X's accesses".
-      if (faults_ != nullptr && faults_->HasDue(now)) {
-        faults_->ApplyDue(*this, now);
+      // Observers due now: before the cores (injected faults), then after.
+      for (SimObserver* o : observers_) {
+        if (o->next_due() <= now) o->BeforeCores(*this, now);
       }
       // Skip cores whose TickCore is provably a no-op (drained, no
       // pending background credit, and -- since they have no outstanding
@@ -121,36 +117,8 @@ void GpuSimulator::Step() {
           }
         }
       }
-      if (timeline_ != nullptr && timeline_->Due(now)) {
-        timeline_->Record(now, Collect(), SnapshotPolicy());
-      }
-      if (progress_ != nullptr && progress_->Due(now)) {
-        obs::ProgressSample sample;
-        sample.cycle = now;
-        for (const SmCore& core : cores_) {
-          sample.accesses += core.l1d().stats().accesses;
-          for (const Warp& w : core.warps()) {
-            ++sample.warps_total;
-            if (w.Finished()) ++sample.warps_finished;
-          }
-        }
-        progress_->Emit(sample);
-      }
-      if (checker_ != nullptr && checker_->Due(now)) {
-        checker_->CheckAll(*this, now);
-      }
-      if (watchdog_ != nullptr && !watchdog_->tripped() &&
-          watchdog_->Due(now) && !Done()) {
-        if (watchdog_->Observe(ProgressCount(), now)) {
-          robust::StallDiagnostic diag =
-              robust::Diagnose(*this, now, watchdog_->last_progress_cycle(),
-                               watchdog_->last_signature());
-          if (progress_ != nullptr) {
-            diag.last_heartbeat = progress_->last_line();
-          }
-          watchdog_->set_diagnostic(std::move(diag));
-          run_error_ = robust::RunError::kWatchdogStall;
-        }
+      for (SimObserver* o : observers_) {
+        if (o->next_due() <= now) o->AfterCores(*this, now);
       }
     }
   }
@@ -202,16 +170,7 @@ Metrics GpuSimulator::Run() {
     // instead of a silent completed=0.
     run_error_ = robust::RunError::kCycleBudget;
   }
-  // Close-of-run self check (cheap relative to a full run; catches drift
-  // that never aligned with the periodic interval).
-  if (checker_ != nullptr) {
-    checker_->CheckAll(*this, clocks_.cycles(core_domain_));
-  }
-  // Close the timeline with a final sample so the per-interval deltas
-  // sum exactly to the returned Metrics.
-  if (timeline_ != nullptr) {
-    timeline_->Record(clocks_.cycles(core_domain_), m, SnapshotPolicy());
-  }
+  for (SimObserver* o : observers_) o->OnRunEnd(*this, m);
   return m;
 }
 

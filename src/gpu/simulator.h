@@ -8,6 +8,7 @@
 
 #include "cache/observer.h"
 #include "gpu/metrics.h"
+#include "gpu/observer.h"
 #include "icnt/crossbar.h"
 #include "mem/partition.h"
 #include "obs/metrics.h"
@@ -20,16 +21,10 @@
 
 namespace dlpsim {
 
-class TraceSink;
-
-namespace obs {
-class ProgressMeter;
-}  // namespace obs
+class EventSink;
 
 namespace robust {
-class FaultInjector;
 class InvariantChecker;
-class Watchdog;
 }  // namespace robust
 
 class GpuSimulator {
@@ -44,27 +39,23 @@ class GpuSimulator {
                SchedulerKind sched = SchedulerKind::kGto);
   ~GpuSimulator();  // out of line: unique_ptr to fwd-declared checker
 
+  /// Attaches a clock-loop observer (fault injector, timeline, progress
+  /// meter, invariant checker, watchdog, ...). Observers are called in
+  /// attach order and must outlive the runs. When DLPSIM_CHECK asks for
+  /// it, the constructor has already attached an owned checker.
+  void Attach(SimObserver* observer);
+
   /// Attaches one observer to every SM's L1D. NOTE: reuse-distance
   /// profiling must use one observer per SM (see analysis/per_sm_profiler.h)
   /// or per-set counters interleave across cores; a shared observer is
   /// only appropriate for aggregate counting.
   void AttachObserver(AccessObserver* observer);
 
-  /// Attaches one event-trace sink to every SM's L1D (and its policy),
-  /// tagging each core's events with its SM id. Tracing is purely
+  /// Attaches one event sink to every SM's L1D (and its policy),
+  /// tagging each core's events with its SM id. Events are purely
   /// observational: attaching a sink never changes simulation results.
   /// Pass nullptr to detach. The sink must outlive the simulator runs.
-  void SetTraceSink(TraceSink* sink);
-
-  /// Attaches a timeline sampler: every `sampler->interval()` core
-  /// cycles (and once at the end of Run) the cumulative Metrics and a
-  /// PolicySnapshot are recorded. Pass nullptr to detach.
-  void SetTimeline(TimelineSampler* sampler);
-
-  /// Attaches a progress heartbeat meter, sampled on the core clock edge
-  /// like the timeline. Pass nullptr to detach. On a watchdog trip the
-  /// meter's last emitted line is copied into the StallDiagnostic.
-  void SetProgress(obs::ProgressMeter* progress) { progress_ = progress; }
+  void SetEventSink(EventSink* sink);
 
   /// Aggregated protection state across every SM's L1D right now.
   PolicySnapshot SnapshotPolicy() const;
@@ -86,27 +77,13 @@ class GpuSimulator {
   /// requests_served}. Every entry is present whatever the policy.
   obs::Registry CounterTable() const;
 
-  // --- resilience hooks (robust/) ---
-
-  /// Attaches a fault injector; its due events are applied on the core
-  /// clock edge. Pass nullptr to detach. Must outlive the runs.
-  void SetFaultInjector(robust::FaultInjector* injector) {
-    faults_ = injector;
-  }
-
-  /// Attaches a forward-progress watchdog, sampled on its check interval.
-  /// A trip captures a StallDiagnostic into the watchdog and ends Run()
-  /// with RunError::kWatchdogStall. Pass nullptr to detach.
-  void SetWatchdog(robust::Watchdog* watchdog) { watchdog_ = watchdog; }
-
-  /// Attaches an invariant checker (overrides the env-constructed one).
-  void SetInvariantChecker(robust::InvariantChecker* checker) {
-    checker_ = checker;
-  }
+  /// Ends Run() before its next step with `error`: an observer's verdict,
+  /// such as a watchdog trip.
+  void Stop(robust::RunError error) { run_error_ = error; }
 
   /// Why the last Run() stopped (kNone while running / after a clean
-  /// drain; kCycleBudget when max_core_cycles expired; kWatchdogStall
-  /// when an attached watchdog tripped).
+  /// drain; kCycleBudget when max_core_cycles expired; otherwise the
+  /// error an observer passed to Stop()).
   robust::RunError run_error() const { return run_error_; }
 
   /// Monotone count of completed architectural work: committed and issued
@@ -141,13 +118,7 @@ class GpuSimulator {
   std::uint32_t core_domain_ = 0;
   std::uint32_t icnt_domain_ = 0;
   std::uint32_t mem_domain_ = 0;
-  TimelineSampler* timeline_ = nullptr;
-  obs::ProgressMeter* progress_ = nullptr;
-  // Resilience layer (all optional). A detached hook leaves results
-  // bit-identical.
-  robust::FaultInjector* faults_ = nullptr;
-  robust::Watchdog* watchdog_ = nullptr;
-  robust::InvariantChecker* checker_ = nullptr;
+  std::vector<SimObserver*> observers_;
   std::unique_ptr<robust::InvariantChecker> owned_checker_;  // env-enabled
   robust::RunError run_error_ = robust::RunError::kNone;
 };

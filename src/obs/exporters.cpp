@@ -55,10 +55,10 @@ void WritePolicySnapshot(JsonWriter& w, const PolicySnapshot& p) {
 
 void WriteJsonReport(std::ostream& os, const RunReportInfo& info,
                      const SimConfig& cfg, const Metrics& metrics,
-                     const TimelineSampler* timeline, const TraceSink* trace) {
+                     const TimelineSampler* timeline, const EventSink* events) {
   JsonWriter w(os);
   w.BeginObject();
-  w.KV("schema", "dlpsim-report-v1");
+  w.KV("schema", "dlpsim-report-v2");
   w.KV("app", info.app);
   w.KV("config", info.config);
   w.KV("scale", info.scale);
@@ -93,12 +93,12 @@ void WriteJsonReport(std::ostream& os, const RunReportInfo& info,
   w.KV("l1d_traffic", metrics.l1d_traffic());
   w.EndObject();
 
-  if (trace != nullptr) {
-    w.Key("trace").BeginObject();
-    w.KV("capacity", std::uint64_t{trace->capacity()});
-    w.KV("retained", std::uint64_t{trace->size()});
-    w.KV("total_emitted", trace->total_emitted());
-    w.KV("dropped", trace->dropped());
+  if (events != nullptr) {
+    w.Key("events").BeginObject();
+    w.KV("capacity", std::uint64_t{events->capacity()});
+    w.KV("retained", std::uint64_t{events->size()});
+    w.KV("total_emitted", events->total_emitted());
+    w.KV("dropped", events->dropped());
     w.EndObject();
   }
 
@@ -125,11 +125,11 @@ void WriteJsonReport(std::ostream& os, const RunReportInfo& info,
   os << '\n';
 }
 
-void WriteChromeTrace(std::ostream& os, const TraceSink& trace,
+void WriteChromeTrace(std::ostream& os, const EventSink& sink,
                       const TimelineSampler* timeline, std::uint32_t num_sms) {
-  const std::vector<TraceEvent> events = trace.InOrder();
+  const std::vector<Event> events = sink.InOrder();
   if (num_sms == 0) {
-    for (const TraceEvent& e : events) {
+    for (const Event& e : events) {
       num_sms = std::max(num_sms, std::uint32_t{e.sm} + 1);
     }
   }
@@ -139,7 +139,7 @@ void WriteChromeTrace(std::ostream& os, const TraceSink& trace,
   w.KV("displayTimeUnit", "ms");
   w.Key("otherData").BeginObject();
   w.KV("generator", "dlpsim");
-  w.KV("dropped_events", trace.dropped());
+  w.KV("dropped_events", sink.dropped());
   w.EndObject();
   w.Key("traceEvents").BeginArray();
 
@@ -162,55 +162,55 @@ void WriteChromeTrace(std::ostream& os, const TraceSink& trace,
     w.EndObject();
   }
 
-  // Trace records as instant events; the core cycle maps to the `ts`
+  // Events as instant events; the core cycle maps to the `ts`
   // microsecond axis one-to-one.
-  for (const TraceEvent& e : events) {
+  for (const Event& e : events) {
     w.BeginObject();
     w.KV("name", ToString(e.kind));
     w.KV("cat", "l1d");
     w.KV("ph", "i");
     // PD recomputes are rare, global landmarks; everything else is
     // thread(SM)-scoped.
-    w.KV("s", e.kind == TraceEventKind::kPdSample ? "p" : "t");
+    w.KV("s", e.kind == EventKind::kPdSample ? "p" : "t");
     w.KV("ts", e.cycle);
     w.KV("pid", 0);
     w.KV("tid", e.sm);
     w.Key("args").BeginObject();
     switch (e.kind) {
-      case TraceEventKind::kAccess:
+      case EventKind::kAccess:
         w.KV("result", ToString(static_cast<AccessResult>(e.arg0)));
         w.KV("set", e.set);
         w.KV("block", e.block);
         w.KV("pc", e.pc);
         break;
-      case TraceEventKind::kBypass:
+      case EventKind::kBypass:
         w.KV("reason", BypassReasonName(e.arg0));
         w.KV("set", e.set);
         w.KV("block", e.block);
         w.KV("pc", e.pc);
         break;
-      case TraceEventKind::kEviction:
+      case EventKind::kEviction:
         w.KV("set", e.set);
         w.KV("victim_block", e.block);
         w.KV("victim_pc", e.pc);
         w.KV("dirty", e.arg0 != 0);
         break;
-      case TraceEventKind::kFill:
+      case EventKind::kFill:
         w.KV("set", e.set);
         w.KV("block", e.block);
         break;
-      case TraceEventKind::kVtaHit:
+      case EventKind::kVtaHit:
         w.KV("set", e.set);
         w.KV("block", e.block);
         w.KV("pc", e.pc);
         w.KV("insn_id", e.arg0);
         break;
-      case TraceEventKind::kPdSample:
+      case EventKind::kPdSample:
         w.KV("mean_pd_before", static_cast<double>(e.arg0) / 1000.0);
         w.KV("mean_pd_after", static_cast<double>(e.arg1) / 1000.0);
         w.KV("path", UpdatePathName(e.arg2));
         break;
-      case TraceEventKind::kPlSaturated:
+      case EventKind::kPlSaturated:
         w.KV("block", e.block);
         w.KV("pc", e.pc);
         w.KV("insn_id", e.arg0);

@@ -6,7 +6,7 @@
 //                      the sampled timeline.
 //   WriteChromeTrace - Chrome trace-event format (JSON), loadable in
 //                      Perfetto / chrome://tracing: one instant event per
-//                      retained trace record (thread = SM) plus counter
+//                      retained event (thread = SM) plus counter
 //                      tracks from the timeline (mean PD, protected
 //                      lines, per-interval hits and bypasses).
 //   WriteTimelineCsv - the timeline as CSV, one row per sample: cycle,
@@ -24,7 +24,7 @@
 
 #include "gpu/metrics.h"
 #include "obs/timeline.h"
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 #include "sim/config.h"
 
 namespace dlpsim {
@@ -39,9 +39,9 @@ struct RunReportInfo {
 void WriteJsonReport(std::ostream& os, const RunReportInfo& info,
                      const SimConfig& cfg, const Metrics& metrics,
                      const TimelineSampler* timeline = nullptr,
-                     const TraceSink* trace = nullptr);
+                     const EventSink* events = nullptr);
 
-void WriteChromeTrace(std::ostream& os, const TraceSink& trace,
+void WriteChromeTrace(std::ostream& os, const EventSink& sink,
                       const TimelineSampler* timeline = nullptr,
                       std::uint32_t num_sms = 0);
 

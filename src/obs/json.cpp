@@ -133,12 +133,6 @@ JsonWriter& JsonWriter::Value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  os_ << "null";
-  return *this;
-}
-
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------

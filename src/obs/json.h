@@ -41,7 +41,6 @@ class JsonWriter {
   JsonWriter& Value(std::int32_t v) { return Value(std::int64_t{v}); }
   JsonWriter& Value(double v);
   JsonWriter& Value(bool v);
-  JsonWriter& Null();
 
   /// Key + value in one call.
   template <typename T>

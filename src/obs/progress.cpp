@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <iostream>
 
+#include "gpu/simulator.h"
+
 namespace dlpsim::obs {
 
 ProgressMeter::ProgressMeter(std::uint64_t interval_cycles,
@@ -12,6 +14,19 @@ ProgressMeter::ProgressMeter(std::uint64_t interval_cycles,
       next_(std::max<std::uint64_t>(1, interval_cycles)),
       label_(std::move(label)),
       os_(os != nullptr ? os : &std::cerr) {}
+
+void ProgressMeter::AfterCores(GpuSimulator& gpu, Cycle now) {
+  ProgressSample sample;
+  sample.cycle = now;
+  for (const SmCore& core : gpu.cores()) {
+    sample.accesses += core.l1d().stats().accesses;
+    for (const Warp& w : core.warps()) {
+      ++sample.warps_total;
+      if (w.Finished()) ++sample.warps_finished;
+    }
+  }
+  Emit(sample);
+}
 
 void ProgressMeter::Emit(const ProgressSample& sample) {
   const double elapsed = clock_.Seconds();

@@ -2,12 +2,12 @@
 // simulation (cycle, accesses/sec, warps finished, ETA), timed with the
 // D2-sanctioned exec::Stopwatch.
 //
-// The meter is sampled on the simulator's core clock edge (Due/Emit, the
-// same pattern as TimelineSampler) and is purely observational: it never
-// feeds simulated state, so attaching one cannot change results. The
-// last emitted line is retained thread-safely so the robust/ watchdog
-// can quote it in a StallDiagnostic -- a stalled run's report then shows
-// how far it got and how fast it was moving when it died.
+// The meter is a SimObserver sampled on the simulator's core clock edge,
+// like TimelineSampler, and is purely observational: it never feeds
+// simulated state, so attaching one cannot change results. The last
+// emitted line is retained thread-safely so the robust/ watchdog can
+// quote it in a StallDiagnostic -- a stalled run's report then shows how
+// far it got and how fast it was moving when it died.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +16,11 @@
 #include <string>
 
 #include "exec/timing.h"
+#include "gpu/observer.h"
 
 namespace dlpsim::obs {
 
-/// One progress observation, assembled by the simulator.
+/// One progress observation, read from the simulator's cores.
 struct ProgressSample {
   std::uint64_t cycle = 0;
   std::uint64_t accesses = 0;  // cumulative L1D accesses
@@ -27,7 +28,7 @@ struct ProgressSample {
   std::uint64_t warps_finished = 0;
 };
 
-class ProgressMeter {
+class ProgressMeter : public SimObserver {
  public:
   /// Emits every `interval_cycles` core cycles, prefixed with `label`
   /// (e.g. "BFS/dlp"). `os` defaults to std::cerr so heartbeats never
@@ -35,7 +36,10 @@ class ProgressMeter {
   explicit ProgressMeter(std::uint64_t interval_cycles,
                          std::string label = "", std::ostream* os = nullptr);
 
-  bool Due(std::uint64_t cycle) const { return cycle >= next_; }
+  Cycle next_due() const override { return next_; }
+
+  /// Emits one line for the machine at `now`.
+  void AfterCores(GpuSimulator& gpu, Cycle now) override;
 
   /// Formats and writes one heartbeat line, e.g.
   ///   [progress] BFS/dlp cycle=2000000 acc/s=1523412 warps=412/512

@@ -1,11 +1,11 @@
 // Time-series telemetry: periodic snapshots of the run's Metrics plus
 // the protection machinery's internal state.
 //
-// The simulator drives the sampler from its core-clock loop: every
-// `interval` core cycles it hands over the *cumulative* Metrics and a
-// PolicySnapshot; the sampler stores both the cumulative values and the
-// per-interval delta, so series of hit/bypass/traffic rates fall out
-// directly and the deltas sum exactly to the final Metrics.
+// Attached to the simulator as a SimObserver: every `interval` core
+// cycles it records the *cumulative* Metrics and a PolicySnapshot, and
+// once more at the end of the run; it stores both the cumulative values
+// and the per-interval delta, so series of hit/bypass/traffic rates fall
+// out directly and the deltas sum exactly to the final Metrics.
 #pragma once
 
 #include <array>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gpu/metrics.h"
+#include "gpu/observer.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -35,15 +36,21 @@ struct TimelineSample {
   PolicySnapshot policy;
 };
 
-class TimelineSampler {
+class TimelineSampler : public SimObserver {
  public:
   explicit TimelineSampler(Cycle interval);
 
-  /// True when `now` has reached the next sampling instant.
-  bool Due(Cycle now) const { return now >= next_; }
+  /// The next sampling instant, on the fixed interval grid.
+  Cycle next_due() const override { return next_; }
 
-  /// Appends a sample; `cumulative` is the run's Metrics-so-far. Called
-  /// by the simulator when Due(), plus once at end of run.
+  /// Records the simulator's Collect() and SnapshotPolicy() at `now`.
+  void AfterCores(GpuSimulator& gpu, Cycle now) override;
+
+  /// Records the final Metrics. A sample already taken at the final
+  /// cycle is replaced, not followed by a second row at the same cycle.
+  void OnRunEnd(const GpuSimulator& gpu, const Metrics& final) override;
+
+  /// Appends a sample; `cumulative` is the run's Metrics-so-far.
   void Record(Cycle now, const Metrics& cumulative,
               const PolicySnapshot& snapshot);
 

@@ -169,8 +169,8 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* out,
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-void FaultInjector::ApplyDue(GpuSimulator& gpu, Cycle now) {
-  while (HasDue(now)) {
+void FaultInjector::BeforeCores(GpuSimulator& gpu, Cycle now) {
+  while (next_due() <= now) {
     Apply(gpu, plan_.events[next_], now);
     ++next_;
   }

@@ -31,11 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "gpu/observer.h"
 #include "sim/types.h"
-
-namespace dlpsim {
-class GpuSimulator;
-}  // namespace dlpsim
 
 namespace dlpsim::robust {
 
@@ -96,25 +93,22 @@ struct FaultPlan {
                     std::string* error);
 };
 
-/// Applies a FaultPlan against a running GpuSimulator. The simulator calls
-/// HasDue/ApplyDue from its core-clock edge; when no event is due the cost
-/// is one comparison.
-class FaultInjector {
+/// Applies a FaultPlan against a running GpuSimulator. Attached as a
+/// SimObserver, it is due at its next event's cycle and applies every due
+/// event before the cores tick.
+class FaultInjector : public SimObserver {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  bool HasDue(Cycle now) const {
-    return next_ < plan_.events.size() && plan_.events[next_].cycle <= now;
+  Cycle next_due() const override {
+    return next_ < plan_.events.size() ? plan_.events[next_].cycle : kNever;
   }
 
   /// Applies every event scheduled at or before `now`.
-  void ApplyDue(GpuSimulator& gpu, Cycle now);
+  void BeforeCores(GpuSimulator& gpu, Cycle now) override;
 
   const FaultPlan& plan() const { return plan_; }
   std::uint64_t applied_total() const { return applied_total_; }
-  std::uint64_t applied(FaultKind k) const {
-    return applied_[static_cast<std::size_t>(k)];
-  }
 
   /// JSON report of the plan and what was actually applied (the fault
   /// artifact uploaded by the CI smoke job).

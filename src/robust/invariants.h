@@ -14,10 +14,10 @@
 //
 // Enabled either per-process (DLPSIM_CHECK=1) or for a whole build
 // (-DDLPSIM_CHECKED=ON, which the CI Debug job uses); DLPSIM_CHECK=0
-// overrides the build default. GpuSimulator constructs and owns a checker
-// automatically when enabled and runs it every `check_interval` core
-// cycles plus once at the end of Run(). Checks never mutate simulator
-// state, so enabling them cannot change results.
+// overrides the build default. GpuSimulator constructs, owns and attaches
+// a checker automatically when enabled; as a SimObserver it runs every
+// `check_interval` core cycles plus once at the end of Run(). Checks never
+// mutate simulator state, so enabling them cannot change results.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "gpu/observer.h"
 #include "sim/types.h"
 
 namespace dlpsim {
@@ -97,13 +98,19 @@ std::string CheckIcntOccupancy(const Crossbar& icnt);
 /// Warp::Quiescent() (the equivalence SmCore::Drained() relies on).
 std::string CheckWarpMasks(const SmCore& core);
 
-class InvariantChecker {
+class InvariantChecker : public SimObserver {
  public:
   explicit InvariantChecker(Cycle check_interval = 4096,
                             bool throw_on_violation = true)
       : interval_(check_interval), throw_(throw_on_violation) {}
 
-  bool Due(Cycle now) const { return now >= next_check_; }
+  Cycle next_due() const override { return next_check_; }
+  void AfterCores(GpuSimulator& gpu, Cycle now) override { CheckAll(gpu, now); }
+  /// Close-of-run check: catches drift that never aligned with the
+  /// periodic interval.
+  void OnRunEnd(const GpuSimulator& gpu, const Metrics& final) override {
+    CheckAll(gpu, final.core_cycles);
+  }
 
   /// Checks every SM's L1D and warp masks, then the crossbar occupancy
   /// count. Throws InvariantError on the first violation (or records it,

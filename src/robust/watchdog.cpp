@@ -5,6 +5,7 @@
 #include "cache/line.h"
 #include "gpu/simulator.h"
 #include "obs/json.h"
+#include "obs/progress.h"
 
 namespace dlpsim::robust {
 
@@ -24,12 +25,12 @@ bool Watchdog::Observe(std::uint64_t signature, Cycle now) {
   return false;
 }
 
-StallDiagnostic Diagnose(const GpuSimulator& gpu, Cycle now,
-                         Cycle last_progress, std::uint64_t signature) {
+StallDiagnostic Watchdog::Diagnose(const GpuSimulator& gpu, Cycle now) const {
   StallDiagnostic d;
   d.trip_cycle = now;
-  d.last_progress_cycle = last_progress;
-  d.progress_signature = signature;
+  d.last_progress_cycle = last_progress_;
+  d.progress_signature = last_signature_;
+  if (heartbeat_ != nullptr) d.last_heartbeat = heartbeat_->last_line();
 
   for (const SmCore& core : gpu.cores()) {
     StallDiagnostic::SmState s;
@@ -73,6 +74,12 @@ StallDiagnostic Diagnose(const GpuSimulator& gpu, Cycle now,
         m.retry + m.replies + m.dram_backlog + m.dram_queue + m.dram_in_service;
   }
   return d;
+}
+
+void Watchdog::AfterCores(GpuSimulator& gpu, Cycle now) {
+  if (gpu.Done() || !Observe(gpu.ProgressCount(), now)) return;
+  diagnostic_ = Diagnose(gpu, now);
+  gpu.Stop(RunError::kWatchdogStall);
 }
 
 std::string StallDiagnostic::StalledResource() const {

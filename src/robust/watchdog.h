@@ -4,11 +4,12 @@
 // kReservationFail, the interconnect stops delivering, or every line of a
 // set stays protected so no victim ever appears. Before this layer such a
 // run silently burned the whole max_core_cycles budget and returned
-// completed=0 with no explanation. The watchdog samples a cheap progress
-// signature (GpuSimulator::ProgressCount) every `check_interval` core
-// cycles; when the signature has not moved for `stall_cycles` while the
-// machine is not Done(), it trips once, captures a StallDiagnostic naming
-// the stalled resource, and Run() returns with RunError::kWatchdogStall.
+// completed=0 with no explanation. Attached as a SimObserver, the watchdog
+// samples a cheap progress signature (GpuSimulator::ProgressCount) every
+// `check_interval` core cycles; when the signature has not moved for
+// `stall_cycles` while the machine is not Done(), it trips once, captures
+// a StallDiagnostic naming the stalled resource, and stops Run() with
+// RunError::kWatchdogStall.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "gpu/observer.h"
 #include "robust/error.h"
 #include "sim/types.h"
 
-namespace dlpsim {
-class GpuSimulator;
-}  // namespace dlpsim
+namespace dlpsim::obs {
+class ProgressMeter;
+}  // namespace dlpsim::obs
 
 namespace dlpsim::robust {
 
@@ -49,9 +51,9 @@ struct StallDiagnostic {
   Cycle trip_cycle = 0;
   Cycle last_progress_cycle = 0;
   std::uint64_t progress_signature = 0;
-  // Most recent DLPSIM_PROGRESS heartbeat line, copied in by GpuSimulator
-  // at trip time (empty when no ProgressMeter was attached or it never
-  // fired): how far the run got and how fast it was moving when it died.
+  // Most recent DLPSIM_PROGRESS heartbeat line at trip time (empty without
+  // a ProgressMeter or before it fired): how far the run got and how fast
+  // it was moving when it died.
   std::string last_heartbeat;
   std::vector<SmState> sms;
   // Aggregate queue depths at trip time.
@@ -70,16 +72,20 @@ struct StallDiagnostic {
   void WriteJson(std::ostream& os) const;
 };
 
-/// Captures a StallDiagnostic from the current machine state (also usable
-/// standalone, e.g. on the cycle-budget path).
-StallDiagnostic Diagnose(const GpuSimulator& gpu, Cycle now,
-                         Cycle last_progress, std::uint64_t signature);
-
-class Watchdog {
+class Watchdog : public SimObserver {
  public:
-  explicit Watchdog(WatchdogConfig cfg = {}) : cfg_(cfg) {}
+  /// `heartbeat`, when given, must outlive the runs; its last line is
+  /// quoted in the diagnostic at trip time.
+  explicit Watchdog(WatchdogConfig cfg = {},
+                    const obs::ProgressMeter* heartbeat = nullptr)
+      : cfg_(cfg), heartbeat_(heartbeat) {}
 
-  bool Due(Cycle now) const { return now >= next_check_; }
+  /// Never once tripped.
+  Cycle next_due() const override { return tripped_ ? kNever : next_check_; }
+
+  /// Samples the progress signature unless the machine has drained; on a
+  /// trip, captures the diagnostic and stops the run.
+  void AfterCores(GpuSimulator& gpu, Cycle now) override;
 
   /// Feeds one progress sample. Returns true exactly once: on the sample
   /// that first exceeds the no-progress window.
@@ -87,15 +93,17 @@ class Watchdog {
 
   bool tripped() const { return tripped_; }
   Cycle last_progress_cycle() const { return last_progress_; }
-  std::uint64_t last_signature() const { return last_signature_; }
   const WatchdogConfig& config() const { return cfg_; }
 
-  /// The diagnostic captured by GpuSimulator at trip time.
+  /// The diagnostic captured at trip time.
   const StallDiagnostic& diagnostic() const { return diagnostic_; }
-  void set_diagnostic(StallDiagnostic d) { diagnostic_ = std::move(d); }
 
  private:
+  /// Snapshot of the machine at trip time.
+  StallDiagnostic Diagnose(const GpuSimulator& gpu, Cycle now) const;
+
   WatchdogConfig cfg_;
+  const obs::ProgressMeter* heartbeat_;
   Cycle next_check_ = 0;
   Cycle last_progress_ = 0;
   std::uint64_t last_signature_ = 0;

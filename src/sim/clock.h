@@ -31,7 +31,6 @@ class ClockDomainSet {
   double now_ns() const { return now_ns_; }
 
   const std::string& name(std::uint32_t idx) const { return domains_[idx].name; }
-  std::size_t num_domains() const { return domains_.size(); }
 
  private:
   struct Domain {

@@ -29,7 +29,7 @@ const char* Raw(const char* name);
 bool IsSet(const char* name);
 
 /// True when set to anything except "" and "0" (truthiness semantics,
-/// e.g. DLPSIM_TRACE).
+/// e.g. DLPSIM_EVENTS).
 bool Flag(const char* name);
 
 /// String value, or `fallback` when unset.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/per_sm_profiler.h"
 #include "workloads/registry.h"
 
@@ -32,6 +34,49 @@ TEST(GpuSimulator, RunsToCompletion) {
   // 2 cores x 4 warps x 8 iters x 23 slots x 32 threads.
   EXPECT_EQ(m.committed_thread_insns, 2ull * 4 * 8 * 23 * 32);
   EXPECT_EQ(m.committed_mem_insns, 2ull * 4 * 8 * 3 * 32);
+}
+
+// Logs every callback so the dispatch contract can be checked exactly.
+class CountingObserver : public SimObserver {
+ public:
+  explicit CountingObserver(Cycle interval) : interval_(interval) {}
+  Cycle next_due() const override { return next_; }
+  void BeforeCores(GpuSimulator& /*gpu*/, Cycle now) override {
+    before.push_back(now);
+  }
+  void AfterCores(GpuSimulator& /*gpu*/, Cycle now) override {
+    after.push_back(now);
+    next_ += interval_;
+  }
+  void OnRunEnd(const GpuSimulator& /*gpu*/, const Metrics& final) override {
+    run_ends.push_back(final);
+  }
+
+  std::vector<Cycle> before;
+  std::vector<Cycle> after;
+  std::vector<Metrics> run_ends;
+
+ private:
+  Cycle interval_;
+  Cycle next_ = interval_;
+};
+
+TEST(GpuSimulator, ObserverRunsOnItsDueGridAndOnceAtRunEnd) {
+  auto prog = SmallKernel();
+  GpuSimulator gpu(TinyGpu(PolicyKind::kDlp), prog.get(), 4);
+  CountingObserver counter(7);
+  gpu.Attach(&counter);
+  const Metrics m = gpu.Run();
+
+  // The run's length, taken from a build without the observer interface.
+  ASSERT_EQ(m.core_cycles, 2906u);
+  std::vector<Cycle> grid;
+  for (Cycle c = 7; c <= m.core_cycles; c += 7) grid.push_back(c);
+  ASSERT_EQ(grid.size(), 415u);
+  EXPECT_EQ(counter.before, grid);
+  EXPECT_EQ(counter.after, grid);
+  ASSERT_EQ(counter.run_ends.size(), 1u);
+  EXPECT_EQ(counter.run_ends[0].ToText(), m.ToText());
 }
 
 TEST(GpuSimulator, DeterministicAcrossRuns) {

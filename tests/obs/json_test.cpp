@@ -9,7 +9,7 @@
 
 #include "obs/exporters.h"
 #include "obs/timeline.h"
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 #include "sim/config.h"
 
 namespace dlpsim {
@@ -95,9 +95,9 @@ TEST(JsonReport, RoundTripsMetricsFields) {
   const SimConfig cfg = SimConfig::WithPolicy(PolicyKind::kDlp);
   const RunReportInfo info{.app = "BFS", .config = "dlp", .scale = 0.5};
 
-  TraceSink sink(8);
+  EventSink sink(8);
   sink.SetNow(10);
-  sink.Emit(TraceEvent{.kind = TraceEventKind::kAccess});
+  sink.Emit(Event{.kind = EventKind::kAccess});
 
   TimelineSampler timeline(100);
   timeline.Record(100, m, PolicySnapshot{});
@@ -110,7 +110,7 @@ TEST(JsonReport, RoundTripsMetricsFields) {
   ASSERT_TRUE(ok) << os.str();
   ASSERT_TRUE(v.is_object());
 
-  EXPECT_EQ(v.Find("schema")->string, "dlpsim-report-v1");
+  EXPECT_EQ(v.Find("schema")->string, "dlpsim-report-v2");
   EXPECT_EQ(v.Find("app")->string, "BFS");
   EXPECT_EQ(v.Find("config")->string, "dlp");
   EXPECT_DOUBLE_EQ(v.Find("scale")->number, 0.5);
@@ -128,11 +128,12 @@ TEST(JsonReport, RoundTripsMetricsFields) {
   EXPECT_EQ(sim->U64("num_cores"), cfg.num_cores);
   EXPECT_EQ(sim->Find("l1d")->U64("sets"), cfg.l1d.geom.sets);
 
-  const JsonValue* trace = v.Find("trace");
-  ASSERT_NE(trace, nullptr);
-  EXPECT_EQ(trace->U64("retained"), 1u);
-  EXPECT_EQ(trace->U64("total_emitted"), 1u);
-  EXPECT_EQ(trace->U64("dropped"), 0u);
+  EXPECT_EQ(v.Find("trace"), nullptr);
+  const JsonValue* events = v.Find("events");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->U64("retained"), 1u);
+  EXPECT_EQ(events->U64("total_emitted"), 1u);
+  EXPECT_EQ(events->U64("dropped"), 0u);
 
   const JsonValue* tl = v.Find("timeline");
   ASSERT_NE(tl, nullptr);
@@ -149,11 +150,11 @@ TEST(JsonReport, RoundTripsMetricsFields) {
 }
 
 TEST(ChromeTrace, IsParseableAndShapedRight) {
-  TraceSink sink(16);
+  EventSink sink(16);
   sink.SetNow(5);
-  sink.Emit(TraceEvent{.arg0 = 0, .kind = TraceEventKind::kAccess});
+  sink.Emit(Event{.arg0 = 0, .kind = EventKind::kAccess});
   sink.SetNow(6);
-  sink.Emit(TraceEvent{.arg0 = 1, .sm = 1, .kind = TraceEventKind::kBypass});
+  sink.Emit(Event{.arg0 = 1, .sm = 1, .kind = EventKind::kBypass});
 
   TimelineSampler timeline(50);
   timeline.Record(50, Metrics{}, PolicySnapshot{});
@@ -176,7 +177,7 @@ TEST(ChromeTrace, IsParseableAndShapedRight) {
     if (ph == "C") ++counters;
   }
   EXPECT_EQ(meta, 3u);     // process_name + 2 thread_name records
-  EXPECT_EQ(instant, 2u);  // one per trace record
+  EXPECT_EQ(instant, 2u);  // one per event
   EXPECT_EQ(counters, 4u); // 4 counter tracks x 1 sample
 }
 

@@ -17,21 +17,17 @@ namespace {
 TEST(ProgressMeter, DueFollowsIntervalGrid) {
   std::ostringstream os;
   ProgressMeter meter(1000, "BFS/dlp", &os);
-  EXPECT_FALSE(meter.Due(0));
-  EXPECT_FALSE(meter.Due(999));
-  EXPECT_TRUE(meter.Due(1000));
+  EXPECT_EQ(meter.next_due(), 1000u);
 
   ProgressSample s;
   s.cycle = 1000;
   meter.Emit(s);
-  EXPECT_FALSE(meter.Due(1500));
-  EXPECT_TRUE(meter.Due(2000));
+  EXPECT_EQ(meter.next_due(), 2000u);
 
   // A sample far past several due points advances past all of them.
   s.cycle = 5300;
   meter.Emit(s);
-  EXPECT_FALSE(meter.Due(5999));
-  EXPECT_TRUE(meter.Due(6000));
+  EXPECT_EQ(meter.next_due(), 6000u);
 }
 
 TEST(ProgressMeter, EmitFormatsLabelCycleAndWarps) {
@@ -74,7 +70,7 @@ TEST(ProgressMeter, ZeroIntervalClampsToOne) {
   std::ostringstream os;
   ProgressMeter meter(0, "", &os);
   EXPECT_EQ(meter.interval(), 1u);
-  EXPECT_TRUE(meter.Due(1));
+  EXPECT_EQ(meter.next_due(), 1u);
 }
 
 TEST(StallDiagnostic, CarriesLastHeartbeatInTextAndJson) {

@@ -1,13 +1,13 @@
 // TimelineSampler unit tests plus the observability integration
 // contracts: timeline deltas sum exactly to the final Metrics, attaching
-// a sink never perturbs simulation results, and traced DLP runs carry
+// a sink never perturbs simulation results, and recorded DLP runs carry
 // the expected event kinds.
 #include "obs/timeline.h"
 
 #include <gtest/gtest.h>
 
 #include "gpu/simulator.h"
-#include "obs/trace_sink.h"
+#include "obs/event_sink.h"
 #include "workloads/registry.h"
 
 namespace dlpsim {
@@ -23,8 +23,7 @@ Metrics WithLoads(std::uint64_t accesses, std::uint64_t hits) {
 
 TEST(TimelineSampler, DeltasAgainstPreviousSample) {
   TimelineSampler sampler(100);
-  EXPECT_FALSE(sampler.Due(99));
-  EXPECT_TRUE(sampler.Due(100));
+  EXPECT_EQ(sampler.next_due(), 100u);
 
   sampler.Record(100, WithLoads(50, 10), PolicySnapshot{});
   sampler.Record(200, WithLoads(80, 25), PolicySnapshot{});
@@ -44,8 +43,7 @@ TEST(TimelineSampler, AdvancesOnFixedGrid) {
   // The simulator checked in late (cycle 250): the next sample is still
   // due at the next grid point after now, not at now + interval.
   sampler.Record(250, WithLoads(1, 0), PolicySnapshot{});
-  EXPECT_FALSE(sampler.Due(299));
-  EXPECT_TRUE(sampler.Due(300));
+  EXPECT_EQ(sampler.next_due(), 300u);
 }
 
 TEST(TimelineSampler, ClearResets) {
@@ -53,7 +51,7 @@ TEST(TimelineSampler, ClearResets) {
   sampler.Record(10, WithLoads(5, 5), PolicySnapshot{});
   sampler.Clear();
   EXPECT_TRUE(sampler.samples().empty());
-  EXPECT_TRUE(sampler.Due(10));
+  EXPECT_EQ(sampler.next_due(), 10u);
   sampler.Record(10, WithLoads(7, 3), PolicySnapshot{});
   EXPECT_EQ(sampler.samples()[0].delta.l1d_accesses, 7u);  // last_ was reset
 }
@@ -78,7 +76,7 @@ TEST(Observability, TimelineDeltasSumToFinalMetrics) {
   auto prog = SmallKernel();
   GpuSimulator gpu(TinyGpu(PolicyKind::kDlp), prog.get(), 4);
   TimelineSampler timeline(500);
-  gpu.SetTimeline(&timeline);
+  gpu.Attach(&timeline);
   const Metrics final = gpu.Run();
   ASSERT_EQ(final.completed, 1u);
   ASSERT_GE(timeline.samples().size(), 2u);
@@ -94,6 +92,35 @@ TEST(Observability, TimelineDeltasSumToFinalMetrics) {
   EXPECT_EQ(timeline.samples().back().cumulative.ToText(), final.ToText());
 }
 
+TEST(Observability, RunEndOnSamplingInstantIsOneRow) {
+  // A run that drains on a sampling instant once recorded that cycle
+  // twice: the periodic sample, then the end-of-run one with delta 0.
+  auto prog = SmallKernel();
+  GpuSimulator probe(TinyGpu(PolicyKind::kDlp), prog.get(), 4);
+  const Metrics ref = probe.Run();
+  ASSERT_EQ(ref.completed, 1u);
+  const Cycle n = ref.core_cycles;
+  for (Cycle interval : {n, n / 2}) {
+    SCOPED_TRACE(interval);
+    GpuSimulator gpu(TinyGpu(PolicyKind::kDlp), prog.get(), 4);
+    TimelineSampler timeline(interval);
+    gpu.Attach(&timeline);
+    const Metrics final = gpu.Run();
+    ASSERT_EQ(final.ToText(), ref.ToText());
+    const std::vector<TimelineSample>& samples = timeline.samples();
+    ASSERT_EQ(samples.size(), n / interval);
+    for (std::size_t i = 1; i < samples.size(); ++i) {
+      EXPECT_LT(samples[i - 1].cycle, samples[i].cycle);
+    }
+    EXPECT_EQ(samples.back().cycle, n);
+    for (const MetricsField& f : MetricsFields()) {
+      std::uint64_t sum = 0;
+      for (const TimelineSample& s : samples) sum += s.delta.*(f.member);
+      EXPECT_EQ(sum, final.*(f.member)) << f.name;
+    }
+  }
+}
+
 TEST(Observability, AttachingTracingDoesNotPerturbResults) {
   auto prog = SmallKernel();
   for (PolicyKind policy :
@@ -102,13 +129,13 @@ TEST(Observability, AttachingTracingDoesNotPerturbResults) {
     SCOPED_TRACE(ToString(policy));
     GpuSimulator plain(TinyGpu(policy), prog.get(), 4);
     GpuSimulator traced(TinyGpu(policy), prog.get(), 4);
-    TraceSink sink(1u << 16);
+    EventSink sink(1u << 16);
     TimelineSampler timeline(250);
-    traced.SetTraceSink(&sink);
-    traced.SetTimeline(&timeline);
+    traced.SetEventSink(&sink);
+    traced.Attach(&timeline);
     const Metrics mp = plain.Run();
     const Metrics mt = traced.Run();
-    // Bit-identical simulation: tracing is observation only.
+    // Bit-identical simulation: recording events is observation only.
     EXPECT_EQ(mp.ToText(), mt.ToText());
   }
 }
@@ -119,7 +146,7 @@ TEST(Observability, UntracedRunEmitsNothing) {
   const Metrics m = gpu.Run();  // no sink attached
   ASSERT_EQ(m.completed, 1u);
   // Attach a sink only now: it must still be empty afterwards.
-  TraceSink sink(16);
+  EventSink sink(16);
   EXPECT_TRUE(sink.empty());
   EXPECT_EQ(sink.total_emitted(), 0u);
 }
@@ -139,17 +166,17 @@ TEST(Observability, DlpRunEmitsPolicyEvents) {
   auto prog = b.Build();
 
   GpuSimulator gpu(TinyGpu(PolicyKind::kDlp), prog.get(), 32);
-  TraceSink sink(1u << 20);
-  gpu.SetTraceSink(&sink);
+  EventSink sink(1u << 20);
+  gpu.SetEventSink(&sink);
   const Metrics m = gpu.Run();
   ASSERT_EQ(m.completed, 1u);
 
-  EXPECT_GT(sink.CountKind(TraceEventKind::kAccess), 0u);
-  EXPECT_GT(sink.CountKind(TraceEventKind::kEviction), 0u);
-  EXPECT_GT(sink.CountKind(TraceEventKind::kFill), 0u);
-  EXPECT_GT(sink.CountKind(TraceEventKind::kVtaHit), 0u);
-  EXPECT_GT(sink.CountKind(TraceEventKind::kPdSample), 0u);
-  const std::size_t bypass_events = sink.CountKind(TraceEventKind::kBypass);
+  EXPECT_GT(sink.CountKind(EventKind::kAccess), 0u);
+  EXPECT_GT(sink.CountKind(EventKind::kEviction), 0u);
+  EXPECT_GT(sink.CountKind(EventKind::kFill), 0u);
+  EXPECT_GT(sink.CountKind(EventKind::kVtaHit), 0u);
+  EXPECT_GT(sink.CountKind(EventKind::kPdSample), 0u);
+  const std::size_t bypass_events = sink.CountKind(EventKind::kBypass);
   EXPECT_GT(bypass_events, 0u);
   // Without drops, bypass events correspond 1:1 to counted bypasses.
   if (sink.dropped() == 0) {
@@ -158,7 +185,7 @@ TEST(Observability, DlpRunEmitsPolicyEvents) {
 
   // Every event's cycle stamp is within the run and nondecreasing.
   Cycle prev = 0;
-  for (const TraceEvent& e : sink.InOrder()) {
+  for (const Event& e : sink.InOrder()) {
     EXPECT_GE(e.cycle, prev);
     EXPECT_LE(e.cycle, m.core_cycles + 1);
     prev = e.cycle;
@@ -169,12 +196,12 @@ TEST(Observability, PerSmAttributionCoversAllCores) {
   auto prog = SmallKernel();
   const SimConfig cfg = TinyGpu(PolicyKind::kDlp);
   GpuSimulator gpu(cfg, prog.get(), 4);
-  TraceSink sink(1u << 20);
-  gpu.SetTraceSink(&sink);
+  EventSink sink(1u << 20);
+  gpu.SetEventSink(&sink);
   ASSERT_EQ(gpu.Run().completed, 1u);
 
   std::vector<std::uint64_t> per_sm(cfg.num_cores, 0);
-  for (const TraceEvent& e : sink.InOrder()) {
+  for (const Event& e : sink.InOrder()) {
     ASSERT_LT(e.sm, cfg.num_cores);
     ++per_sm[e.sm];
   }

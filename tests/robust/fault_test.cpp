@@ -124,7 +124,7 @@ TEST(FaultInjector, GpuDegradesGracefullyUnderAllFaultKinds) {
       FaultPlan::Random(42, 12, ref.core_cycles, /*stall_cycles=*/500);
   FaultInjector injector(plan);
   GpuSimulator gpu(TinyGpu(), prog.get(), 4);
-  gpu.SetFaultInjector(&injector);
+  gpu.Attach(&injector);
   const Metrics m = gpu.Run();
 
   // Graceful degradation: the run still completes (no deadlock), all
@@ -148,17 +148,59 @@ TEST(FaultInjector, SamePlanSameResults) {
   for (int i = 0; i < 2; ++i) {
     FaultInjector injector(plan);
     GpuSimulator gpu(TinyGpu(), prog.get(), 4);
-    gpu.SetFaultInjector(&injector);
+    gpu.Attach(&injector);
     runs[i] = gpu.Run();
   }
   EXPECT_EQ(runs[0].ToText(), runs[1].ToText());
+}
+
+TEST(FaultInjector, PlanRunMatchesPinnedMetrics) {
+  // Every fault kind over the clean run's span (2906 cycles). The pinned
+  // block was taken from a build without the observer interface.
+  auto prog = SmallKernel();
+  FaultInjector injector(FaultPlan::Random(7, 24, 2906, 300));
+  GpuSimulator gpu(TinyGpu(), prog.get(), 4);
+  gpu.Attach(&injector);
+  const Metrics m = gpu.Run();
+  EXPECT_EQ(injector.applied_total(), 24u);
+  EXPECT_EQ(m.ToText(),
+            "core_cycles 4201\n"
+            "committed_thread_insns 47104\n"
+            "committed_mem_insns 6144\n"
+            "issued_warp_insns 1472\n"
+            "ldst_stall_cycles 300\n"
+            "load_block_cycles 28811\n"
+            "load_block_events 80\n"
+            "completed 1\n"
+            "l1d_accesses 192\n"
+            "l1d_loads 128\n"
+            "l1d_stores 64\n"
+            "l1d_load_hits 48\n"
+            "l1d_load_misses 80\n"
+            "l1d_mshr_merges 0\n"
+            "l1d_misses_issued 80\n"
+            "l1d_bypasses 0\n"
+            "l1d_reservation_fails 300\n"
+            "l1d_evictions 0\n"
+            "l1d_writebacks 0\n"
+            "l1d_fills 80\n"
+            "icnt_bytes_total 24032\n"
+            "icnt_bytes_l1d 20224\n"
+            "icnt_bytes_other 3808\n"
+            "l2_accesses 144\n"
+            "l2_load_hits 0\n"
+            "l2_load_misses 80\n"
+            "dram_reads 80\n"
+            "dram_writes 64\n"
+            "dram_row_hits 79\n"
+            "dram_row_misses 65\n");
 }
 
 TEST(FaultInjector, WriteJsonReportsAppliedCounts) {
   auto prog = SmallKernel();
   FaultInjector injector(FaultPlan::Random(5, 6, 80000, 200));
   GpuSimulator gpu(TinyGpu(), prog.get(), 4);
-  gpu.SetFaultInjector(&injector);
+  gpu.Attach(&injector);
   gpu.Run();
 
   std::ostringstream os;

@@ -156,7 +156,7 @@ TEST(Invariants, CheckedRunMatchesUncheckedByteForByte) {
   InvariantChecker checker(/*check_interval=*/512,
                            /*throw_on_violation=*/true);
   GpuSimulator checked(cfg, prog.get(), 4);
-  checked.SetInvariantChecker(&checker);
+  checked.Attach(&checker);
   const Metrics m = checked.Run();
 
   EXPECT_GT(checker.checks_run(), 0u);

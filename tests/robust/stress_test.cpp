@@ -76,8 +76,8 @@ TEST(RobustStress, RandomConfigsHoldInvariantsUnderEveryPolicy) {
       Watchdog wd(
           WatchdogConfig{/*check_interval=*/1024, /*stall_cycles=*/200000});
       GpuSimulator gpu(cfg, prog.get(), warps);
-      gpu.SetInvariantChecker(&checker);
-      gpu.SetWatchdog(&wd);
+      gpu.Attach(&checker);
+      gpu.Attach(&wd);
 
       Metrics m;
       ASSERT_NO_THROW(m = gpu.Run());

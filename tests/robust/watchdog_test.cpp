@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "gpu/simulator.h"
+#include "obs/progress.h"
 #include "robust/error.h"
 #include "robust/fault.h"
 #include "workloads/registry.h"
@@ -57,8 +58,8 @@ TEST(Watchdog, HandCraftedLivelockProducesTypedErrorAndDiagnostic) {
 
   Watchdog wd(WatchdogConfig{/*check_interval=*/512, /*stall_cycles=*/20000});
   GpuSimulator gpu(TinyGpu(), prog.get(), 4);
-  gpu.SetFaultInjector(&injector);
-  gpu.SetWatchdog(&wd);
+  gpu.Attach(&injector);
+  gpu.Attach(&wd);
   const Metrics m = gpu.Run();
 
   // Typed error, well before the hard cycle budget.
@@ -85,6 +86,36 @@ TEST(Watchdog, HandCraftedLivelockProducesTypedErrorAndDiagnostic) {
   EXPECT_NE(os.str().find("\"stalled_resource\""), std::string::npos);
 }
 
+TEST(Watchdog, HandCraftedLivelockQuotesLastHeartbeat) {
+  // The livelock above with a progress meter attached: the diagnostic
+  // quotes the meter's last line, and the trip lands on the same cycle
+  // as in a build without the observer interface.
+  auto prog = SmallKernel();
+  FaultPlan plan;
+  plan.stall_cycles = 1u << 30;
+  plan.events.push_back(
+      FaultEvent{/*cycle=*/2000, FaultKind::kIcntStall, 0, 0, 0});
+  FaultInjector injector(plan);
+  std::ostringstream heartbeats;
+  obs::ProgressMeter meter(1000, "livelock", &heartbeats);
+  Watchdog wd(WatchdogConfig{/*check_interval=*/512, /*stall_cycles=*/20000},
+              &meter);
+  GpuSimulator gpu(TinyGpu(), prog.get(), 4);
+  gpu.Attach(&injector);
+  gpu.Attach(&meter);
+  gpu.Attach(&wd);
+  const Metrics m = gpu.Run();
+
+  ASSERT_EQ(gpu.run_error(), RunError::kWatchdogStall);
+  const StallDiagnostic& d = wd.diagnostic();
+  EXPECT_FALSE(d.last_heartbeat.empty());
+  EXPECT_EQ(d.last_heartbeat, meter.last_line());
+  EXPECT_NE(d.last_heartbeat.find("cycle=23000"), std::string::npos);
+  EXPECT_EQ(d.trip_cycle, 23041u);
+  EXPECT_EQ(d.last_progress_cycle, 2561u);
+  EXPECT_EQ(m.core_cycles, 23041u);
+}
+
 TEST(Watchdog, CycleBudgetIsTypedError) {
   SimConfig cfg = TinyGpu();
   cfg.max_core_cycles = 500;
@@ -106,7 +137,7 @@ TEST(Watchdog, CleanRunNeverTripsAndResultsAreByteIdentical) {
 
   Watchdog wd(WatchdogConfig{/*check_interval=*/256, /*stall_cycles=*/50000});
   GpuSimulator watched(TinyGpu(), prog.get(), 4);
-  watched.SetWatchdog(&wd);
+  watched.Attach(&wd);
   const Metrics m = watched.Run();
 
   EXPECT_FALSE(wd.tripped());
