@@ -14,13 +14,12 @@ int main() {
   std::cout << "=== Fig. 3: Reuse Distance Distribution per application "
                "===\n\n";
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), {"base"});
+  // tables below read its cells.
+  const bench::Grid grid = bench::RunGrid(bench::AllAppAbbrs(), {"base"});
   TextTable t({"app", "type", "rd 1~4", "rd 5~8", "rd 9~64", "rd >65",
                "re-refs"});
   for (const AppInfo& app : AllApps()) {
-    const auto r = bench::Run(app.abbr, "base");
-    const RddHistogram& h = r.profile.global;
+    const RddHistogram& h = grid.at(app.abbr, "base").profile.global;
     t.AddRow({app.abbr, app.cache_insufficient ? "CI" : "CS",
               Pct(h.fraction(0)), Pct(h.fraction(1)), Pct(h.fraction(2)),
               Pct(h.fraction(3)), std::to_string(h.total())});

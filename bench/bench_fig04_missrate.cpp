@@ -12,14 +12,15 @@ int main() {
   bench::TimingScope timing("bench_fig04_missrate");
   std::cout << "=== Fig. 4: reuse-data miss rate vs cache size ===\n\n";
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), {"base", "32kb", "64kb"});
+  // tables below read its cells.
+  const bench::Grid grid =
+      bench::RunGrid(bench::AllAppAbbrs(), {"base", "32kb", "64kb"});
   TextTable t({"app", "type", "16KB", "32KB", "64KB"});
   for (const AppInfo& app : AllApps()) {
     t.AddRow({app.abbr, app.cache_insufficient ? "CI" : "CS",
-              Pct(bench::Run(app.abbr, "base").profile.reuse_miss_rate()),
-              Pct(bench::Run(app.abbr, "32kb").profile.reuse_miss_rate()),
-              Pct(bench::Run(app.abbr, "64kb").profile.reuse_miss_rate())});
+              Pct(grid.at(app.abbr, "base").profile.reuse_miss_rate()),
+              Pct(grid.at(app.abbr, "32kb").profile.reuse_miss_rate()),
+              Pct(grid.at(app.abbr, "64kb").profile.reuse_miss_rate())});
   }
   std::cout << t.Render() << '\n';
   std::cout << "Paper shape: miss rates fall as associativity grows for "

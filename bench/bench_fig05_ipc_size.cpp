@@ -12,17 +12,18 @@ int main() {
   bench::TimingScope timing("bench_fig05_ipc_size");
   std::cout << "=== Fig. 5: normalized IPC vs L1D cache size ===\n\n";
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), {"base", "32kb", "64kb"});
+  // tables below read its cells.
+  const bench::Grid grid =
+      bench::RunGrid(bench::AllAppAbbrs(), {"base", "32kb", "64kb"});
   TextTable t({"app", "type", "16KB", "32KB", "64KB"});
   for (const AppInfo& app : AllApps()) {
-    const double base = bench::Run(app.abbr, "base").metrics.ipc();
+    const double base = grid.at(app.abbr, "base").metrics.ipc();
     t.AddRow({app.abbr, app.cache_insufficient ? "CI" : "CS", Fmt(1.0, 3),
               Fmt(bench::Normalize(
-                      bench::Run(app.abbr, "32kb").metrics.ipc(), base),
+                      grid.at(app.abbr, "32kb").metrics.ipc(), base),
                   3),
               Fmt(bench::Normalize(
-                      bench::Run(app.abbr, "64kb").metrics.ipc(), base),
+                      grid.at(app.abbr, "64kb").metrics.ipc(), base),
                   3)});
   }
   std::cout << t.Render() << '\n';

@@ -12,7 +12,8 @@ using namespace dlpsim;
 int main() {
   bench::TimingScope timing("bench_fig07_bfs_insn");
   std::cout << "=== Fig. 7: per-instruction RDD for BFS ===\n\n";
-  const auto r = bench::RunGrid({"BFS"}, {"base"}).front();
+  const bench::Grid grid = bench::RunGrid({"BFS"}, {"base"});
+  const bench::RunResult& r = grid.at("BFS", "base");
 
   TextTable t({"insn", "PC", "rd 1~4", "rd 5~8", "rd 9~64", "rd >65",
                "re-refs"});

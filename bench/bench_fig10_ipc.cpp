@@ -10,7 +10,6 @@
 #include "workloads/registry.h"
 
 using namespace dlpsim;
-using dlpsim::bench::Run;
 
 int main() {
   bench::TimingScope timing("bench_fig10_ipc");
@@ -21,8 +20,8 @@ int main() {
   const std::vector<std::string> configs = {"base", "sb", "gp", "dlp",
                                             "32kb"};
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), configs);
+  // tables below read its cells.
+  const bench::Grid grid = bench::RunGrid(bench::AllAppAbbrs(), configs);
   TextTable t({"app", "type", "16KB(base)", "Stall-Bypass",
                "Global-Protection", "DLP", "32KB"});
 
@@ -30,11 +29,11 @@ int main() {
   std::vector<double> geo_ci[5];
 
   for (const AppInfo& app : AllApps()) {
-    const double base_ipc = Run(app.abbr, "base").metrics.ipc();
+    const double base_ipc = grid.at(app.abbr, "base").metrics.ipc();
     std::vector<std::string> row = {app.abbr,
                                     app.cache_insufficient ? "CI" : "CS"};
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      const double ipc = Run(app.abbr, configs[c]).metrics.ipc();
+      const double ipc = grid.at(app.abbr, configs[c]).metrics.ipc();
       const double norm = bench::Normalize(ipc, base_ipc);
       row.push_back(Fmt(norm, 3));
       (app.cache_insufficient ? geo_ci : geo_cs)[c].push_back(norm);

@@ -13,8 +13,8 @@ int main() {
   bench::TimingScope timing("bench_fig12_hits");
   const std::vector<std::string> configs = {"base", "sb", "gp", "dlp"};
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), configs);
+  // tables below read its cells.
+  const bench::Grid grid = bench::RunGrid(bench::AllAppAbbrs(), configs);
 
   std::cout << "=== Fig. 12a: L1D hit rate ===\n\n";
   TextTable ta({"app", "type", "16KB(base)", "Stall-Bypass",
@@ -23,7 +23,7 @@ int main() {
     std::vector<std::string> row = {app.abbr,
                                     app.cache_insufficient ? "CI" : "CS"};
     for (const std::string& c : configs) {
-      row.push_back(Pct(bench::Run(app.abbr, c).metrics.l1d_hit_rate()));
+      row.push_back(Pct(grid.at(app.abbr, c).metrics.l1d_hit_rate()));
     }
     ta.AddRow(row);
   }
@@ -35,13 +35,13 @@ int main() {
   std::vector<double> geo_ci[4];
   for (const AppInfo& app : AllApps()) {
     const double base = static_cast<double>(
-        bench::Run(app.abbr, "base").metrics.l1d_load_hits);
+        grid.at(app.abbr, "base").metrics.l1d_load_hits);
     std::vector<std::string> row = {app.abbr,
                                     app.cache_insufficient ? "CI" : "CS"};
     for (std::size_t c = 0; c < configs.size(); ++c) {
       const double v = bench::Normalize(
           static_cast<double>(
-              bench::Run(app.abbr, configs[c]).metrics.l1d_load_hits),
+              grid.at(app.abbr, configs[c]).metrics.l1d_load_hits),
           base);
       row.push_back(Fmt(v, 2));
       if (app.cache_insufficient) geo_ci[c].push_back(v);

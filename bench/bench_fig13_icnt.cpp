@@ -14,20 +14,20 @@ int main() {
   std::cout << "=== Fig. 13: normalized interconnect traffic ===\n\n";
   const std::vector<std::string> configs = {"base", "sb", "gp", "dlp"};
   // Simulate the whole grid in parallel (DLPSIM_JOBS workers); the
-  // loops below then hit the in-process memo.
-  bench::RunGrid(bench::AllAppAbbrs(), configs);
+  // tables below read its cells.
+  const bench::Grid grid = bench::RunGrid(bench::AllAppAbbrs(), configs);
   TextTable t({"app", "type", "16KB(base)", "Stall-Bypass",
                "Global-Protection", "DLP", "(L1D share)"});
   std::vector<double> geo_cs[4];
   std::vector<double> geo_ci[4];
   for (const AppInfo& app : AllApps()) {
-    const Metrics base = bench::Run(app.abbr, "base").metrics;
+    const Metrics& base = grid.at(app.abbr, "base").metrics;
     std::vector<std::string> row = {app.abbr,
                                     app.cache_insufficient ? "CI" : "CS"};
     for (std::size_t c = 0; c < configs.size(); ++c) {
       const double v = bench::Normalize(
           static_cast<double>(
-              bench::Run(app.abbr, configs[c]).metrics.icnt_bytes_total),
+              grid.at(app.abbr, configs[c]).metrics.icnt_bytes_total),
           static_cast<double>(base.icnt_bytes_total));
       row.push_back(Fmt(v, 3));
       (app.cache_insufficient ? geo_ci : geo_cs)[c].push_back(v);

@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -73,11 +71,6 @@ std::string TimingDir() {
   return env::Str("DLPSIM_TIMING_DIR", ".");
 #endif
 }
-
-// Grid cells that exhausted their retries in RunGrid (process-wide, like
-// Timing()); benches turn this into a non-zero exit after printing every
-// table they could compute.
-std::atomic<std::size_t> g_failed_cells{0};
 
 // DLPSIM_PROGRESS: 0 = off, "1"/any truthy value = heartbeat every 1M
 // core cycles, >= 2 = explicit interval in core cycles.
@@ -185,8 +178,7 @@ ProfileResult ProfileResult::FromText(const std::string& text, bool* ok) {
 
 namespace {
 
-// The readable part of a cell's cache key; also the in-process memo key
-// (one process has one model digest and one set of presets).
+// The readable part of a cell's cache key.
 std::string KeyFor(const std::string& abbr, const std::string& config,
                    double scale) {
   std::ostringstream os;
@@ -465,12 +457,8 @@ TimingScope::~TimingScope() {
   }
 }
 
-namespace {
-
-/// Loads the cell from disk or simulates it (recording timing), then
-/// stores it back. Exactly one thread per cell runs this (see Run).
-RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
-                         double scale) {
+RunResult Run(const std::string& abbr, const std::string& config,
+              double scale) {
   const std::filesystem::path path = CachePathFor(abbr, config, scale);
 
   if (CacheEnabled()) {
@@ -497,139 +485,62 @@ RunResult LoadOrSimulate(const std::string& abbr, const std::string& config,
   return r;
 }
 
-/// In-process memo: single-flight per cell, but (unlike call_once) NOT
-/// failure-sticky. A failed flight releases the cell so a later caller --
-/// e.g. RunGrid's retry pass -- can attempt it again; only successes are
-/// memoized. Callers that were waiting on the failing flight see that
-/// flight's exception. std::map gives reference stability, so the flight
-/// runs outside the registry lock.
-struct CellState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool running = false;
-  bool done = false;
-  RunResult result;
-  std::exception_ptr last_error;
-  std::uint64_t error_seq = 0;  // bumped on every failed flight
-};
-
-struct Memo {
-  std::mutex mu;
-  std::map<std::string, CellState> cells;
-};
-
-Memo& GlobalMemo() {
-  static Memo memo;
-  return memo;
+const RunResult& Grid::at(const std::string& app,
+                          const std::string& config) const {
+  const auto a = std::find(apps.begin(), apps.end(), app);
+  if (a == apps.end()) throw std::out_of_range("grid has no app: " + app);
+  const auto c = std::find(configs.begin(), configs.end(), config);
+  if (c == configs.end()) {
+    throw std::out_of_range("grid has no config: " + config);
+  }
+  return cells[static_cast<std::size_t>(a - apps.begin()) * configs.size() +
+               static_cast<std::size_t>(c - configs.begin())];
 }
 
-}  // namespace
-
-RunResult Run(const std::string& abbr, const std::string& config,
-              double scale) {
-  Memo& memo = GlobalMemo();
-  CellState* cell = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(memo.mu);
-    cell = &memo.cells[KeyFor(abbr, config, scale)];
-  }
-
-  std::unique_lock<std::mutex> lock(cell->mu);
-  for (;;) {
-    if (cell->done) return cell->result;
-    if (!cell->running) break;
-    // Another thread's flight is in progress: share its outcome rather
-    // than queueing a duplicate simulation.
-    const std::uint64_t seq = cell->error_seq;
-    cell->cv.wait(lock,
-                  [&] { return cell->done || cell->error_seq != seq; });
-    if (cell->done) return cell->result;
-    std::rethrow_exception(cell->last_error);
-  }
-
-  cell->running = true;
-  lock.unlock();
-  try {
-    RunResult r = LoadOrSimulate(abbr, config, scale);
-    lock.lock();
-    cell->result = std::move(r);
-    cell->done = true;
-    cell->running = false;
-    cell->cv.notify_all();
-    return cell->result;
-  } catch (...) {
-    lock.lock();
-    cell->last_error = std::current_exception();
-    ++cell->error_seq;
-    cell->running = false;
-    cell->cv.notify_all();
-    throw;
-  }
-}
-
-RunResult Run(const std::string& abbr, const std::string& config) {
-  return Run(abbr, config, Scale());
-}
-
-std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
-                               const std::vector<std::string>& configs,
-                               double scale, std::size_t jobs) {
+Grid RunGrid(const std::vector<std::string>& apps,
+             const std::vector<std::string>& configs, double scale,
+             std::size_t jobs) {
   if (jobs == 0) jobs = exec::DefaultJobs();
   // Each simulated run owns a private event sink/timeline, so recording
   // is safe at any job count; serial keeps the [events] log and the
   // export order deterministic.
   if (EventsEnabled()) jobs = 1;
-  const std::vector<exec::Job> grid = exec::Grid(apps, configs);
+  const std::vector<exec::Job> matrix = exec::Grid(apps, configs);
 
-  // Resilient execution: a cell that throws (bad workload, watchdog trip,
-  // fault-induced failure) is retried once and, if it still fails, is
-  // recorded as a structured failure instead of aborting its siblings.
-  // Its result slot stays value-initialized so tables keep their shape.
-  exec::RetryPolicy retry;
-  retry.timeout_seconds = env::PositiveDouble("DLPSIM_JOB_TIMEOUT", 0.0);
-  exec::GridRun<RunResult> run = exec::TryRunJobs(
-      grid, [scale](const exec::Job& j) { return Run(j.app, j.config, scale); },
-      retry, jobs);
-
-  for (const exec::JobFailure& f : run.failures) {
-    std::cerr << "[grid] FAILED " << f.job.app << '/' << f.job.config
-              << " after " << f.attempts << " attempt(s)"
-              << (f.timed_out ? " (timed out)" : "") << ": " << f.error
+  // A cell that throws (bad workload, watchdog trip, fault-induced
+  // failure) is recorded as a failed cell instead of aborting its
+  // siblings; the simulation is deterministic, so it is not retried. Its
+  // slot stays value-initialized so tables keep their shape.
+  const auto fail = [](const exec::Job& j, std::string error) {
+    std::cerr << "[grid] FAILED " << j.app << '/' << j.config << ": " << error
               << '\n';
     exec::TimingCell cell;
-    cell.app = f.job.app;
-    cell.config = f.job.config;
+    cell.app = j.app;
+    cell.config = j.config;
     cell.failed = true;
-    cell.timed_out = f.timed_out;
-    cell.attempts = f.attempts;
-    cell.error = f.error;
+    cell.error = std::move(error);
     Timing().Record(std::move(cell));
-
-    // Tombstone the exhausted cell in the memo with the same
-    // value-initialized result as run.results[f.index]: benches re-read
-    // cells through Run() in their table loops, and without this the
-    // non-sticky memo would re-simulate the known-bad cell and throw
-    // mid-table. The failure is already on record (stderr, timing log,
-    // FailedCells()).
-    Memo& memo = GlobalMemo();
-    CellState* state = nullptr;
-    {
-      std::lock_guard<std::mutex> reg(memo.mu);
-      state = &memo.cells[KeyFor(f.job.app, f.job.config, scale)];
-    }
-    std::lock_guard<std::mutex> cl(state->mu);
-    if (!state->done && !state->running) {
-      state->result = RunResult{};
-      state->done = true;
-    }
-  }
-  g_failed_cells += run.failures.size();
-  return std::move(run.results);
+  };
+  Grid grid{apps, configs, {}};
+  grid.cells = exec::ParallelMap(
+      matrix.size(),
+      [&](std::size_t i) {
+        const exec::Job& j = matrix[i];
+        try {
+          return Run(j.app, j.config, scale);
+        } catch (const std::exception& e) {
+          fail(j, e.what());
+        } catch (...) {
+          fail(j, "unknown exception");
+        }
+        return RunResult{};
+      },
+      jobs);
+  return grid;
 }
 
-std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
-                               const std::vector<std::string>& configs,
-                               std::size_t jobs) {
+Grid RunGrid(const std::vector<std::string>& apps,
+             const std::vector<std::string>& configs, std::size_t jobs) {
   return RunGrid(apps, configs, Scale(), jobs);
 }
 
@@ -637,7 +548,7 @@ double Normalize(double value, double base) {
   return base == 0.0 ? 0.0 : value / base;
 }
 
-std::size_t FailedCells() { return g_failed_cells.load(); }
+std::size_t FailedCells() { return Timing().FailedCells(); }
 
 int ExitStatus() { return FailedCells() == 0 ? 0 : 1; }
 

@@ -1,21 +1,21 @@
 // Shared run harness for the figure-reproduction benches.
 //
-// Every bench needs the same (app x configuration) simulation grid, so
-// runs are memoized twice: in-process (thread-safe, single-flight -- two
-// threads asking for the same cell never simulate it twice) and in an
-// on-disk cache keyed by everything that can change a RunResult: the app,
-// the configuration name, the scale, a hash of the configuration's
-// CanonicalText and a digest of the model sources taken at build time
-// (see CachePathFor). Cache files are written to a temp name and
-// atomically renamed into place, so a killed or concurrent bench can
-// never leave a partially written entry that parses as a bogus result.
+// Every bench needs the same (app x configuration) simulation grid.
+// RunGrid() executes a whole (apps x configs) matrix through
+// exec::ParallelMap and returns a Grid: every cell in app-major order,
+// looked up with Grid::at(app, config). The grid is the one way a bench
+// reads results, and no bench runs the same cell twice in one process,
+// so every cell simulates at most once. DLPSIM_JOBS=1 reproduces the
+// serial path bit for bit; any other value produces byte-identical
+// results (enforced by tests/bench/determinism_test.cpp).
 //
-// RunGrid() executes a whole (apps x configs) matrix through the
-// src/exec/ parallel executor: each cell is an isolated, deterministic
-// simulation scheduled on a fixed-size thread pool, and results come
-// back in grid order. DLPSIM_JOBS=1 reproduces the serial path bit for
-// bit; any other value produces byte-identical results (enforced by
-// tests/exec/determinism_test.cpp).
+// Across processes, finished cells persist in an on-disk cache keyed by
+// everything that can change a RunResult: the app, the configuration
+// name, the scale, a hash of the configuration's CanonicalText and a
+// digest of the model sources taken at build time (see CachePathFor).
+// Cache files are written to a temp name and atomically renamed into
+// place, so a killed or concurrent bench can never leave a partially
+// written entry that parses as a bogus result.
 //
 // Each run also records reuse-distance and reuse-miss profiles so the
 // motivation figures (3/4/7) come from the same simulations as the
@@ -60,10 +60,6 @@
 //   DLPSIM_CHECK      - 1 = run the opt-in invariant checker every few
 //                       thousand cycles (see robust/invariants.h);
 //                       0 = force off even in DLPSIM_CHECKED builds.
-//   DLPSIM_JOB_TIMEOUT - per-attempt wall-clock budget in seconds for
-//                       RunGrid cells (cooperative: an over-budget
-//                       attempt is discarded and counted as a timed-out
-//                       failure). Unset/0 = no timeout.
 //   DLPSIM_METRICS    - set to 1 to dump, on TimingScope destruction,
 //                       the sum of the counter tables
 //                       (GpuSimulator::CounterTable) of every cell this
@@ -108,7 +104,7 @@ const std::vector<std::string>& ConfigNames();
 SimConfig ConfigFor(const std::string& name);
 
 /// Abbreviations of every registered application, in registry order
-/// (convenience for RunGrid warm-up calls).
+/// (the app list of every figure's grid).
 std::vector<std::string> AllAppAbbrs();
 
 struct ProfileResult {
@@ -133,31 +129,39 @@ struct RunResult {
   ProfileResult profile;
 };
 
-/// Runs (or loads from cache) app `abbr` under configuration `config`.
-/// Thread-safe; concurrent callers asking for the same cell share one
-/// simulation (single-flight).
-RunResult Run(const std::string& abbr, const std::string& config);
+/// Loads app `abbr` under configuration `config` from the disk cache or
+/// simulates it (storing the result back), and records the cell in
+/// Timing(). Thread-safe; every call on a cache miss simulates.
 RunResult Run(const std::string& abbr, const std::string& config,
               double scale);
 
-/// Runs the whole (apps x configs) grid through the parallel executor
-/// and returns results in app-major grid order: cell (a, c) at index
-/// a * configs.size() + c. jobs == 0 resolves DLPSIM_JOBS (default:
-/// hardware concurrency); DLPSIM_EVENTS forces jobs = 1.
-///
-/// Resilient: a throwing or timed-out cell is retried once and, if it
-/// still fails, recorded as a failed cell in <bench>_timing.json (and in
-/// FailedCells()) while its siblings run to completion. Failed cells'
-/// result slots are value-initialized.
-std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
-                               const std::vector<std::string>& configs,
-                               std::size_t jobs = 0);
-std::vector<RunResult> RunGrid(const std::vector<std::string>& apps,
-                               const std::vector<std::string>& configs,
-                               double scale, std::size_t jobs);
+/// The results of one (apps x configs) run. `cells` is app-major: cell
+/// (a, c) at index a * configs.size() + c.
+struct Grid {
+  std::vector<std::string> apps;
+  std::vector<std::string> configs;
+  std::vector<RunResult> cells;
 
-/// Always simulates (no memo, no disk cache). The determinism tests use
-/// this to compare thread-pool execution against the serial path. A
+  /// The cell of `app` under `config`; throws std::out_of_range for a
+  /// name that is not in the grid.
+  const RunResult& at(const std::string& app, const std::string& config) const;
+};
+
+/// Runs the whole (apps x configs) grid through exec::ParallelMap, one
+/// Run() per cell. jobs == 0 resolves DLPSIM_JOBS (default: hardware
+/// concurrency); DLPSIM_EVENTS forces jobs = 1.
+///
+/// A cell that throws runs once: it is recorded as a failed cell in
+/// Timing() (and so in <bench>_timing.json and FailedCells()) while its
+/// siblings run to completion, and its result stays value-initialized.
+Grid RunGrid(const std::vector<std::string>& apps,
+             const std::vector<std::string>& configs, std::size_t jobs = 0);
+Grid RunGrid(const std::vector<std::string>& apps,
+             const std::vector<std::string>& configs, double scale,
+             std::size_t jobs);
+
+/// Always simulates (no disk cache, no Timing() record). The determinism
+/// tests use this to compare parallel execution against the serial path. A
 /// watchdog trip (DLPSIM_WATCHDOG) throws
 /// robust::RunErrorException(kWatchdogStall, ...).
 RunResult SimulateUncached(const std::string& abbr, const std::string& config,
@@ -193,8 +197,8 @@ void StoreCacheFile(const std::filesystem::path& path, const RunResult& r);
 
 // --- wall-clock telemetry ---
 
-/// Global per-process timing log; Run/SimulateUncached record one cell
-/// per simulation (cached loads are recorded with cached=true).
+/// Global per-process timing log: Run records one cell per simulation
+/// (cached loads with cached=true) and RunGrid one per failed cell.
 exec::TimingLog& Timing();
 
 /// RAII: writes DLPSIM_TIMING_DIR/<name>_timing.json on destruction with
@@ -218,8 +222,8 @@ double Scale();
 /// "normalized to baseline" figure rows); returns 0 when base is 0.
 double Normalize(double value, double base);
 
-/// Number of grid cells that exhausted their retries across every RunGrid
-/// call in this process.
+/// Number of failed cells in Timing(): every RunGrid cell that threw in
+/// this process.
 std::size_t FailedCells();
 
 /// Process exit code for benches: 0 when every grid cell succeeded, 1

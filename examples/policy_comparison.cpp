@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   const std::string app = argc > 1 ? argv[1] : "KM";
   const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
 
-  // Harness configuration names paired with their display labels; rows
-  // come back from RunGrid in this order.
+  // Harness configuration names paired with their display labels, in
+  // table-row order.
   const std::vector<std::string> configs = bench::ConfigNames();
   const std::vector<std::string> labels = {"16KB(base)", "Stall-Bypass",
                                            "Global-Prot", "DLP",
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
   TextTable t({"config", "IPC", "cycles", "hitrate", "hits", "traffic",
                "bypass", "evict", "stallcyc", "ldlat", "icnt MB", "dram rd",
                "done"});
-  const auto results = bench::RunGrid({app}, configs, scale, 0);
+  const bench::Grid grid = bench::RunGrid({app}, configs, scale, 0);
   for (std::size_t c = 0; c < configs.size(); ++c) {
-    const Metrics& m = results[c].metrics;
+    const Metrics& m = grid.at(app, configs[c]).metrics;
     t.AddRow({labels[c], Fmt(m.ipc(), 1), std::to_string(m.core_cycles),
               Pct(m.l1d_hit_rate()), std::to_string(m.l1d_load_hits),
               std::to_string(m.l1d_traffic()),

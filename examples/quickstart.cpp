@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
 
   // Both cells through the shared harness: cached on disk and run via
   // the parallel executor (DLPSIM_JOBS).
-  const auto results = bench::RunGrid({app}, {"base", "dlp"}, scale, 0);
-  const Metrics& base = results[0].metrics;
-  const Metrics& dlp = results[1].metrics;
+  const bench::Grid grid = bench::RunGrid({app}, {"base", "dlp"}, scale, 0);
+  const Metrics& base = grid.at(app, "base").metrics;
+  const Metrics& dlp = grid.at(app, "dlp").metrics;
 
   TextTable t({"metric", "baseline 16KB", "DLP 16KB", "DLP/base"});
   auto row = [&](const std::string& name, double b, double d, int dec = 3) {

@@ -132,6 +132,26 @@ AccessResult L1DCache::Access(const MemAccess& access, Cycle now) {
   return result;
 }
 
+// inline: both bypass sites in AccessLoad are on the per-load hot path,
+// and without it gcc emits this as an out-of-line tail call.
+inline AccessResult L1DCache::BypassLoad(const MemAccess& access,
+                                         std::uint32_t set, Addr block,
+                                         Cycle now, BypassReason reason) {
+  CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
+  policy_->OnLoadMiss(set, block, access.pc);
+  ++stats_.loads;
+  ++stats_.load_misses;
+  ++stats_.bypasses;
+  PushOutgoing(L1DOutgoing{.block = block,
+                           .write = false,
+                           .no_fill = true,
+                           .pc = access.pc,
+                           .token = access.token,
+                           .payload_bytes = 0});
+  EmitBypass(set, block, access.pc, reason);
+  return AccessResult::kBypassed;
+}
+
 AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
                                   Addr block, Cycle now) {
   const std::uint32_t way = tda_.Probe(set, block);
@@ -160,19 +180,7 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
     }
     // Unmergeable (entry at its merge limit): resource stall.
     if (policy_->BypassOnResourceStall() && !OutgoingFull()) {
-      CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
-      policy_->OnLoadMiss(set, block, access.pc);
-      ++stats_.loads;
-      ++stats_.load_misses;
-      ++stats_.bypasses;
-      PushOutgoing(L1DOutgoing{.block = block,
-                               .write = false,
-                               .no_fill = true,
-                               .pc = access.pc,
-                               .token = access.token,
-                               .payload_bytes = 0});
-      EmitBypass(set, block, access.pc, BypassReason::kResourceStall);
-      return AccessResult::kBypassed;
+      return BypassLoad(access, set, block, now, BypassReason::kResourceStall);
     }
     ++stats_.reservation_fails;
     return AccessResult::kReservationFail;
@@ -215,21 +223,9 @@ AccessResult L1DCache::AccessLoad(const MemAccess& access, std::uint32_t set,
   }
 
   if (choice.kind == VictimChoice::Kind::kBypass && !OutgoingFull()) {
-    CommitQuery(set, block, access.pc, AccessType::kLoad, false, now);
-    policy_->OnLoadMiss(set, block, access.pc);
-    ++stats_.loads;
-    ++stats_.load_misses;
-    ++stats_.bypasses;
-    PushOutgoing(L1DOutgoing{.block = block,
-                             .write = false,
-                             .no_fill = true,
-                             .pc = access.pc,
-                             .token = access.token,
-                             .payload_bytes = 0});
-    EmitBypass(set, block, access.pc,
-               resource_bypass ? BypassReason::kResourceStall
-                               : BypassReason::kNoVictim);
-    return AccessResult::kBypassed;
+    return BypassLoad(access, set, block, now,
+                      resource_bypass ? BypassReason::kResourceStall
+                                      : BypassReason::kNoVictim);
   }
 
   ++stats_.reservation_fails;

@@ -161,6 +161,11 @@ class L1DCache {
 
   void EmitBypass(std::uint32_t set, Addr block, Pc pc, BypassReason reason);
 
+  /// Sends a load around the cache (no-fill read) for `reason`; the
+  /// caller has checked that an outgoing slot is free.
+  AccessResult BypassLoad(const MemAccess& access, std::uint32_t set,
+                          Addr block, Cycle now, BypassReason reason);
+
   /// Evicts (set, way) for reuse; updates stats/VTA/writeback traffic.
   void EvictFor(std::uint32_t set, std::uint32_t way, Addr new_block, Pc pc);
 

@@ -35,9 +35,9 @@ GpuSimulator::GpuSimulator(const SimConfig& cfg, const Program* program,
   for (PartitionId id = 0; id < cfg.num_partitions; ++id) {
     partitions_.emplace_back(cfg, id);
   }
-  core_domain_ = clocks_.AddDomain("core", cfg.core_mhz);
-  icnt_domain_ = clocks_.AddDomain("icnt", cfg.icnt_mhz);
-  mem_domain_ = clocks_.AddDomain("mem", cfg.mem_mhz);
+  core_domain_ = clocks_.AddDomain(cfg.core_mhz);
+  icnt_domain_ = clocks_.AddDomain(cfg.icnt_mhz);
+  mem_domain_ = clocks_.AddDomain(cfg.mem_mhz);
   // Cores whose program is empty are inactive from cycle 0.
   core_inactive_.assign(cores_.size(), 0);
   for (std::size_t i = 0; i < cores_.size(); ++i) {

@@ -5,13 +5,12 @@
 
 namespace dlpsim {
 
-std::uint32_t ClockDomainSet::AddDomain(std::string name, double freq_mhz) {
+std::uint32_t ClockDomainSet::AddDomain(double freq_mhz) {
   assert(freq_mhz > 0.0);
   Domain d;
-  d.name = std::move(name);
   d.period_ns = 1000.0 / freq_mhz;
   d.next_ns = d.period_ns;
-  domains_.push_back(std::move(d));
+  domains_.push_back(d);
   return static_cast<std::uint32_t>(domains_.size() - 1);
 }
 

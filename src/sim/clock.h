@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.h"
@@ -17,7 +16,7 @@ namespace dlpsim {
 class ClockDomainSet {
  public:
   /// Registers a domain; returns its index. freq_mhz must be > 0.
-  std::uint32_t AddDomain(std::string name, double freq_mhz);
+  std::uint32_t AddDomain(double freq_mhz);
 
   /// Advances simulated time to the next domain edge(s). All domains whose
   /// edge falls on that instant (within half the smallest period) fire
@@ -30,11 +29,8 @@ class ClockDomainSet {
   /// Current simulated time in nanoseconds.
   double now_ns() const { return now_ns_; }
 
-  const std::string& name(std::uint32_t idx) const { return domains_[idx].name; }
-
  private:
   struct Domain {
-    std::string name;
     double period_ns = 1.0;
     double next_ns = 0.0;
     Cycle cycles = 0;

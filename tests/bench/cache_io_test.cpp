@@ -150,8 +150,7 @@ TEST_F(CacheIoTest, PathKeysAppScalePresetTextAndModelDigest) {
 }
 
 TEST_F(CacheIoTest, RunNeverReturnsAStaleEntry) {
-  // A cell no other test in this binary runs through Run(), so the
-  // in-process memo cannot answer it and the disk cache is consulted.
+  // Run() consults the disk cache under DLPSIM_CACHE_DIR.
   const std::string app = "HS";
   const std::string config = "dlp";
   constexpr double kScale = 0.01;

@@ -27,18 +27,19 @@ std::string CellText(const RunResult& r) {
 TEST(Determinism, ParallelGridMatchesSerialByteForByte) {
   const std::vector<exec::Job> grid = exec::Grid(kApps, kConfigs);
 
-  // Serial reference: inline on this thread, no pool.
+  // Serial reference: inline on this thread, no worker threads.
   std::vector<std::string> serial;
   for (const exec::Job& j : grid) {
     serial.push_back(CellText(SimulateUncached(j.app, j.config, kScale)));
   }
 
-  // Same grid on 8 workers (more threads than cells and than most CI
-  // hosts have cores, so real interleaving happens even on one core).
-  const auto parallel = exec::RunJobs(
-      grid,
-      [](const exec::Job& j) {
-        return CellText(SimulateUncached(j.app, j.config, kScale));
+  // Same grid with 8 jobs requested: one thread per cell (more threads
+  // than most CI hosts have cores, so real interleaving happens even on
+  // one core).
+  const auto parallel = exec::ParallelMap(
+      grid.size(),
+      [&grid](std::size_t i) {
+        return CellText(SimulateUncached(grid[i].app, grid[i].config, kScale));
       },
       8);
 

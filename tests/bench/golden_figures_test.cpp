@@ -55,8 +55,8 @@ bool UpdateRequested() {
 verify::GoldenSnapshot CaptureCurrent() {
   const std::vector<std::string> apps = AllAppAbbrs();
   const std::vector<exec::Job> grid = exec::Grid(apps, kConfigs);
-  const auto results = exec::RunJobs(grid, [](const exec::Job& j) {
-    return SimulateUncached(j.app, j.config, kScale);
+  const auto results = exec::ParallelMap(grid.size(), [&grid](std::size_t i) {
+    return SimulateUncached(grid[i].app, grid[i].config, kScale);
   });
 
   verify::GoldenSnapshot snap;

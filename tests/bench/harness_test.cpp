@@ -68,30 +68,37 @@ TEST(Harness, GridSurvivesFailingCellAndReportsIt) {
   // the good cells are freshly simulated (cheap at this scale).
   ASSERT_EQ(::setenv("DLPSIM_NOCACHE", "1", 1), 0);
   const std::size_t failed_before = FailedCells();
-  const auto timing_failed_before = Timing().FailedCells();
+  const auto count_nope = [] {
+    int n = 0;
+    for (const exec::TimingCell& c : Timing().cells()) {
+      if (c.failed && c.config == "nope") {
+        ++n;
+        EXPECT_NE(c.error.find("unknown config"), std::string::npos);
+      }
+    }
+    return n;
+  };
+  const int nope_before = count_nope();
 
-  // "nope" is not a config name: ConfigFor throws, the cell fails after
-  // its retries, and the sibling cells still finish.
-  const auto results = RunGrid({"HS"}, {"base", "nope"}, /*scale=*/0.01, 2);
+  // "nope" is not a config name: ConfigFor throws, the cell fails once,
+  // and the sibling cell still finishes.
+  const Grid grid = RunGrid({"HS"}, {"base", "nope"}, /*scale=*/0.01, 2);
   ::unsetenv("DLPSIM_NOCACHE");
 
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_GT(results[0].metrics.core_cycles, 0u);   // healthy sibling ran
-  EXPECT_EQ(results[1].metrics.core_cycles, 0u);   // failed slot zeroed
+  ASSERT_EQ(grid.cells.size(), 2u);
+  EXPECT_GT(grid.cells[0].metrics.core_cycles, 0u);  // healthy sibling ran
+  EXPECT_EQ(grid.cells[1].metrics.core_cycles, 0u);  // failed slot zeroed
+  EXPECT_EQ(&grid.at("HS", "base"), &grid.cells[0]);
+  EXPECT_EQ(grid.at("HS", "nope").metrics.ToText(), Metrics{}.ToText());
+  EXPECT_EQ(grid.at("HS", "nope").profile.ToText(), ProfileResult{}.ToText());
+  EXPECT_THROW(grid.at("XX", "base"), std::out_of_range);
+  EXPECT_THROW(grid.at("HS", "dlp"), std::out_of_range);
   EXPECT_EQ(FailedCells(), failed_before + 1);
   EXPECT_EQ(ExitStatus(), 1);
 
-  // The failure is recorded as data in the timing log.
-  ASSERT_EQ(Timing().FailedCells(), timing_failed_before + 1);
-  bool found = false;
-  for (const exec::TimingCell& c : Timing().cells()) {
-    if (c.failed && c.config == "nope") {
-      found = true;
-      EXPECT_GE(c.attempts, 1);
-      EXPECT_NE(c.error.find("unknown config"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(found);
+  // The failure is recorded once, as data, in the timing log.
+  EXPECT_EQ(Timing().FailedCells(), FailedCells());
+  EXPECT_EQ(count_nope(), nope_before + 1);
 }
 
 TEST(Harness, FaultSpecParseFailureIsATypedCellError) {

@@ -11,8 +11,8 @@
 //     returns for the same run -- both read the same component counters.
 //
 // The dump tests run each bench pass in a forked child: the harness's
-// in-process memo and counter totals live for the whole process, so a
-// second pass in the same process would neither simulate nor count.
+// counter totals live for the whole process, so a second pass in the
+// same process would count every cell twice.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -164,10 +164,10 @@ std::string TableText(const obs::Registry& table) {
 
 TEST(MetricsAttribution, ConcurrentRunsKeepTheirOwnTables) {
   const std::vector<exec::Job> grid = {{"BFS", "dlp"}, {"HS", "base"}};
-  const std::vector<std::string> together = exec::RunJobs(
-      grid,
-      [](const exec::Job& j) {
-        return TableText(SimulateCell(j.app, j.config).table);
+  const std::vector<std::string> together = exec::ParallelMap(
+      grid.size(),
+      [&grid](std::size_t i) {
+        return TableText(SimulateCell(grid[i].app, grid[i].config).table);
       },
       2);
   ASSERT_EQ(together.size(), 2u);
